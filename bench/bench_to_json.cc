@@ -335,8 +335,9 @@ int main(int argc, char** argv) {
 
   // The workspace persists across repetitions, so every rep after the first
   // measures the warm steady state: pool, SoA columns, batch rings, detect
-  // states and validator/merger scratch all reused. allocs_per_packet keeps
-  // the LAST rep's count, i.e. the warm figure the parity gate below pins.
+  // states and the validate/merge index scratch all reused.
+  // allocs_per_packet keeps the LAST rep's count, i.e. the warm figure the
+  // parity gate below pins.
   rloop::core::PipelineWorkspace workspace;
   rloop::core::LoopDetectorConfig parallel_config;
   parallel_config.parallel.num_threads = 4;

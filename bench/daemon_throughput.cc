@@ -20,6 +20,7 @@
 
 #include "common.h"
 #include "daemon/daemon.h"
+#include "util/spsc_ring.h"
 
 namespace {
 
@@ -27,7 +28,7 @@ using rloop::daemon::BackPressure;
 using rloop::daemon::Daemon;
 using rloop::daemon::DaemonConfig;
 using rloop::daemon::ReplaySource;
-using rloop::daemon::SpscRing;
+using rloop::util::SpscRing;
 
 void BM_SpscRingPushPop(benchmark::State& state) {
   SpscRing<rloop::net::TraceRecord> ring(1024);

@@ -1,9 +1,9 @@
-// Microbenchmarks (google-benchmark) for the hot-path memory overhaul:
-// the flat-table/arena detector against the retained reference engine, the
-// SoA RecordStore build, the flat NonLoopedIndex against the
-// hash-map-of-vectors layout it replaced, and mmap vs streaming pcap ingest.
-// The differential tests in tests/test_memory_layout.cc prove the outputs
-// identical; these harnesses measure what the layout change buys.
+// Microbenchmarks (google-benchmark) for the hot-path memory overhaul: the
+// flat-table/arena detector, the SoA RecordStore build, the flat
+// NonLoopedIndex against the hash-map-of-vectors layout it replaced, and
+// mmap vs streaming pcap ingest. The differential tests in
+// tests/test_memory_layout.cc prove the outputs identical to the
+// straightforward structures; these harnesses measure the new ones.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -18,7 +18,6 @@
 #include "core/replica_detector.h"
 #include "net/pcap.h"
 #include "net/pcap_mmap.h"
-#include "util/thread_pool.h"
 
 using namespace rloop;
 
@@ -37,20 +36,7 @@ const core::RecordStore& bench_store() {
   return store;
 }
 
-// ---- Detection engine: reference (unordered_map of vectors) vs flat ----
-
-void BM_DetectReference(benchmark::State& state) {
-  const auto& trace = bench_trace();
-  const auto& records = bench_records();
-  const core::ReplicaDetector detector;
-  for (auto _ : state) {
-    auto streams = detector.detect_reference(trace, records);
-    benchmark::DoNotOptimize(streams);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.size()));
-}
-BENCHMARK(BM_DetectReference)->Unit(benchmark::kMillisecond);
+// ---- Detection engine ----
 
 void BM_DetectFlat(benchmark::State& state) {
   const auto& store = bench_store();
@@ -64,8 +50,7 @@ void BM_DetectFlat(benchmark::State& state) {
 }
 BENCHMARK(BM_DetectFlat)->Unit(benchmark::kMillisecond);
 
-// Store build included, so the comparison against BM_DetectReference (which
-// starts from ParsedRecords, as the old pipeline did) is end-to-end fair.
+// Store build included: the cost of detection starting from ParsedRecords.
 void BM_DetectFlatWithStoreBuild(benchmark::State& state) {
   const auto& trace = bench_trace();
   const auto& records = bench_records();
@@ -79,20 +64,6 @@ void BM_DetectFlatWithStoreBuild(benchmark::State& state) {
                           static_cast<std::int64_t>(trace.size()));
 }
 BENCHMARK(BM_DetectFlatWithStoreBuild)->Unit(benchmark::kMillisecond);
-
-void BM_DetectFlatSharded(benchmark::State& state) {
-  const auto& store = bench_store();
-  const core::ReplicaDetector detector;
-  util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto streams = detector.detect_sharded(
-        store, pool, static_cast<unsigned>(state.range(0)) * 4);
-    benchmark::DoNotOptimize(streams);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(store.size()));
-}
-BENCHMARK(BM_DetectFlatSharded)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // ---- RecordStore build (the columnize stage) ----
 
@@ -108,22 +79,6 @@ void BM_RecordStoreBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_RecordStoreBuild)->Unit(benchmark::kMillisecond);
 
-void BM_RecordStoreBuildParallel(benchmark::State& state) {
-  const auto& trace = bench_trace();
-  const auto& records = bench_records();
-  util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto store = core::RecordStore::build_parallel(trace, records, pool);
-    benchmark::DoNotOptimize(store);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.size()));
-}
-BENCHMARK(BM_RecordStoreBuildParallel)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
 // ---- NonLoopedIndex: flat sorted array vs the old hash-map layout ----
 
 std::vector<bool> bench_membership() {
@@ -134,14 +89,14 @@ std::vector<bool> bench_membership() {
 }
 
 void BM_IndexBuildFlat(benchmark::State& state) {
-  const auto& records = bench_records();
+  const auto& store = bench_store();
   const auto member = bench_membership();
   for (auto _ : state) {
-    core::NonLoopedIndex index(records, member);
+    core::NonLoopedIndex index(store, member);
     benchmark::DoNotOptimize(index.entry_count());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(records.size()));
+                          static_cast<std::int64_t>(store.size()));
 }
 BENCHMARK(BM_IndexBuildFlat)->Unit(benchmark::kMillisecond);
 
@@ -165,7 +120,7 @@ BENCHMARK(BM_IndexBuildHashMap)->Unit(benchmark::kMillisecond);
 void BM_IndexQueryFlat(benchmark::State& state) {
   const auto& records = bench_records();
   const auto member = bench_membership();
-  const core::NonLoopedIndex index(records, member);
+  const core::NonLoopedIndex index(bench_store(), member);
   std::size_t i = 0;
   for (auto _ : state) {
     const auto& r = records[i];

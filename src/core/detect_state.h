@@ -1,6 +1,6 @@
-// The flat per-shard replica-detection engine, shared by the barrier-style
-// sharded path (ReplicaDetector::detect_sharded) and the staged dataflow
-// (core/pipeline.cc), which keeps one warm state per shard across runs.
+// The flat replica-detection engine, shared by the serial
+// ReplicaDetector::detect and the staged dataflow (core/pipeline.cc), which
+// keeps one warm state per shard across runs.
 //
 // Open streams live in one FlatMap keyed by ReplicaKey, replica lists in an
 // arena. One candidate stream per first-seen header means millions of tiny
@@ -11,11 +11,10 @@
 // reset(), which is what lets a persistent pipeline workspace run the whole
 // detect stage without heap traffic once warm.
 //
-// Field-identical output to the reference engine in replica_detector.cc
-// (detect_reference), including every journal event payload and every
-// counter, the expired count included: expiry is determined purely by
-// last_ts against the current record's timestamp, and both engines hold the
-// same open set at every record by induction.
+// Field-identical streams to the straightforward unordered_map engine kept
+// as the test oracle (tests/reference_detector.h): expiry is determined
+// purely by last_ts against the current record's timestamp, and both engines
+// hold the same open set at every record by induction.
 #pragma once
 
 #include <algorithm>
@@ -52,8 +51,8 @@ struct LocalCounts {
 
 // The canonical emission order: (start, first record index) is a strict
 // total order — a record heads at most one stream — so sorted output does
-// not depend on closing order, and the sharded paths' merge of per-shard
-// sorted runs reproduces the serial order exactly.
+// not depend on closing order, and the pipeline's merge of per-shard sorted
+// runs reproduces the serial order exactly.
 inline void sort_streams(std::vector<ReplicaStream>& streams) {
   std::sort(streams.begin(), streams.end(),
             [](const ReplicaStream& a, const ReplicaStream& b) {

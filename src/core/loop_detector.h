@@ -22,24 +22,28 @@ struct LoopDetectorConfig {
   ReplicaDetectorConfig detector;
   ValidatorConfig validator;
   MergerConfig merger;
-  // Sharded multi-threaded execution. num_threads <= 1 (the default) is the
-  // original serial path; > 1 runs parse, detect, validate and merge on a
-  // ThreadPool, sharded by replica-key hash (detect) and /24 prefix
-  // (validate/merge). Results are field-identical to the serial path for
-  // every thread/shard count — see parallel.h for the argument and
-  // tests/test_parallel_pipeline.cc for the proof harness.
+  // Multi-threaded execution. num_threads <= 1 (the default) is the serial
+  // path; > 1 runs the staged dataflow (core/pipeline.h): parse and detect on
+  // a ThreadPool, detect sharded by replica-key hash, then validate and merge
+  // serially on the calling thread. Only detect is sharded. Results are
+  // field-identical to the serial path for every thread/shard count — see
+  // parallel.h for the argument and tests/test_parallel_pipeline.cc for the
+  // proof harness.
   ParallelConfig parallel;
   // Optional metrics sink. When set, every stage records a wall-clock
   // latency histogram (rloop_pipeline_stage_latency_ns{stage=...}), the
-  // sharded path additionally records per-shard latency
-  // (rloop_pipeline_shard_latency_ns{stage=...,shard=...}) and thread-pool
-  // queue depth, and the stage objects register their own counters; when
-  // null the pipeline runs with zero telemetry overhead.
+  // parallel path additionally records per-shard detect latency
+  // (rloop_pipeline_shard_latency_ns{stage="detect",shard=...}), stage
+  // busy/idle time and thread-pool queue depth, and the stage objects
+  // register their own counters; when null the pipeline runs with zero
+  // telemetry overhead.
   telemetry::Registry* registry = nullptr;
   // Optional span sink: a root "detect_loops" span, one span per stage
-  // (parse/columnize/detect/validate/merge), and one span per parallel_for
-  // task (parse_chunk/hash_chunk/detect_shard/validate_shard/merge_shard),
-  // exportable as Chrome trace-event JSON (TraceSink::chrome_trace_json).
+  // (parse/columnize/detect/validate/merge on the serial path,
+  // detect/validate/merge on the parallel one), and on the parallel path
+  // one span per epoch (hash_chunk on the driver, parse_chunk on each
+  // worker) and per detect shard (detect_shard), exportable as Chrome
+  // trace-event JSON (TraceSink::chrome_trace_json).
   // Null costs one predictable branch per would-be span.
   telemetry::TraceSink* trace = nullptr;
   // Optional decision journal: every stage records its per-stream /
@@ -47,7 +51,7 @@ struct LoopDetectorConfig {
   telemetry::DecisionLog* journal = nullptr;
   // Optional persistent workspace for the parallel path (core/pipeline.h).
   // The staged dataflow reuses its thread pool, SoA store, batch rings,
-  // per-shard detect states and validator/merger scratch across calls, so a
+  // per-shard detect states and validate/merge index scratch across calls, so a
   // warm run's steady-state allocation rate drops below the serial path's
   // (tests/test_memory_layout.cc pins this). Null makes detect_loops()
   // build a transient workspace per call; results are identical either way.

@@ -1,22 +1,20 @@
-// Sharding configuration and shard-assignment hashes for the parallel
-// detection pipeline.
+// Sharding configuration and the shard-assignment hash for the parallel
+// detection pipeline (core/pipeline.h).
 //
-// The pipeline parallelizes by partitioning its keyed state, never by
-// splitting a key's records across workers:
-//  - step 1 shards by hash(ReplicaKey): all observations of one normalized
-//    header land in one shard, in trace order, so every per-shard stream is
-//    exactly the stream the serial detector builds;
-//  - steps 2-3 shard by destination /24 prefix: validation and merging only
-//    ever query the non-looped index for the stream's own prefix, so a
-//    per-shard index restricted to that shard's prefixes answers identically.
-// A deterministic total-order merge after each stage (documented at the call
-// sites) makes the output bit-identical to the serial path for every
-// (num_threads, shard_bits) — tests/test_parallel_pipeline.cc proves it.
+// Only step 1, replica detection, is sharded, and it parallelizes by
+// partitioning its keyed state, never by splitting a key's records across
+// workers: records shard by hash(ReplicaKey), so all observations of one
+// normalized header land in one shard, in trace order, and every per-shard
+// stream is exactly the stream the serial detector builds. Concatenating the
+// per-shard streams and sorting them by the canonical (start, first record
+// index) total order makes the output bit-identical to the serial path for
+// every (num_threads, shard_bits) — tests/test_parallel_pipeline.cc proves
+// it. Steps 2-3 (validate, merge) run serially after the sharded front: a
+// /24-sharded version would rebuild its non-looped index from a scan of
+// every record in every shard, which costs more than it saves.
 #pragma once
 
 #include <cstdint>
-
-#include "net/prefix.h"
 
 namespace rloop::core {
 
@@ -35,9 +33,8 @@ struct ParallelConfig {
   }
 };
 
-// splitmix64 finalizer. The raw inputs below have structure in their low
-// bits (FNV output, prefix length always 24), so shard selection must mix
-// before masking.
+// splitmix64 finalizer. FNV output has structure in its low bits, so shard
+// selection must mix before masking.
 inline std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
@@ -47,14 +44,6 @@ inline std::uint64_t mix64(std::uint64_t x) {
 // Shard for a replica-key hash (ReplicaKey::hash / replica_key_hash()).
 inline unsigned shard_of_key_hash(std::uint64_t hash, unsigned num_shards) {
   return static_cast<unsigned>(mix64(hash) % num_shards);
-}
-
-// Shard for a destination /24 prefix (validation + merge partitioning).
-inline unsigned shard_of_prefix(const net::Prefix& prefix,
-                                unsigned num_shards) {
-  const auto packed =
-      (static_cast<std::uint64_t>(prefix.addr.value) << 8) | prefix.len;
-  return static_cast<unsigned>(mix64(packed) % num_shards);
 }
 
 }  // namespace rloop::core

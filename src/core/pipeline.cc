@@ -89,8 +89,7 @@ struct PipelineWorkspace::Impl {
   std::vector<std::vector<ReplicaStream>> shard_streams;
   std::vector<telemetry::Histogram*> detect_shard_hist;
 
-  ValidatorScratch validator_scratch;
-  MergerScratch merger_scratch;
+  NonLoopedScratch index_scratch;  // validate and merge, in turn
 };
 
 PipelineWorkspace::PipelineWorkspace() : impl_(std::make_unique<Impl>()) {}
@@ -354,21 +353,23 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
                      "Trace records whose IP header failed to parse"),
                  result.parse_failures);
 
+  // Validate and merge run serially on this thread once the front has
+  // drained: both need the full raw-stream set, and a sharded version pays
+  // one full-trace index scan per shard, which costs more than it saves.
   {
     const telemetry::ScopedTimer timer(stage_histogram(reg, "validate"));
     const telemetry::ScopedSpan span(config.trace, "validate");
     const StreamValidator validator(config.validator, reg, config.journal);
-    result.valid_streams = validator.validate_sharded(
-        ws.store, result.raw_streams, *ws.pool, num_shards,
-        ws.validator_scratch, &result.validation);
+    result.valid_streams =
+        validator.validate(ws.store, result.raw_streams, &result.validation,
+                           &ws.index_scratch);
   }
   {
     const telemetry::ScopedTimer timer(stage_histogram(reg, "merge"));
     const telemetry::ScopedSpan span(config.trace, "merge");
     const StreamMerger merger(config.merger, reg, config.journal);
     result.loops =
-        merger.merge_sharded(ws.store, result.valid_streams, *ws.pool,
-                             num_shards, ws.merger_scratch);
+        merger.merge(ws.store, result.valid_streams, &ws.index_scratch);
   }
   return result;
 }

@@ -1,9 +1,9 @@
 // Staged, epoch-overlapped dataflow for the offline detection pipeline.
 //
-// The barrier-style parallel path in loop_detector.cc runs parse, columnize
-// and detect as separate pool-wide stages with a full join between each; on
-// traces where parse and hash dominate, the joins leave workers idle for
-// most of the wall clock. The staged front here fuses ingest -> parse ->
+// A barrier-style parallel path (parse, columnize and detect as separate
+// pool-wide stages with a full join between each) leaves workers idle for
+// most of the wall clock on traces where parse and hash dominate. The staged
+// front here fuses ingest -> parse ->
 // columnize -> shard-detect into one pass over the trace, pipelined by
 // epoch:
 //
@@ -26,14 +26,14 @@
 //    FlatDetectState sees exactly the record sequence the serial detector
 //    feeds it, and the concatenate + sort merge reproduces the serial
 //    stream order (same argument as parallel.h).
-// Validate and merge remain pool-wide sharded stages after the front — they
-// need the full raw-stream set — but run on workspace-owned scratch so a
-// warm run allocates nothing in either stage.
+// Validate and merge then run serially on the calling thread — they need the
+// full raw-stream set, and they are cheap next to the front — on one
+// workspace-owned index scratch, so a warm run reuses its capacity.
 //
 // PipelineWorkspace owns everything reusable across runs: the thread pool,
 // the SoA store, the hash/shard scratch columns, the per-worker batch rings,
 // one warm FlatDetectState per shard (arena + open-table capacity persist),
-// and the validator/merger scratch. bench/bench_to_json.cc keeps one
+// and the validate/merge index scratch. bench/bench_to_json.cc keeps one
 // workspace across repetitions to pin the steady-state allocation rate;
 // detect_loops() creates a transient one when the config carries none.
 #pragma once

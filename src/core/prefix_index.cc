@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 
-#include "core/parallel.h"
+#include "core/replica_detector.h"
 
 namespace rloop::core {
 
@@ -55,37 +55,9 @@ void NonLoopedIndex::seal() {
   }
 }
 
-NonLoopedIndex::NonLoopedIndex(const std::vector<ParsedRecord>& records,
-                               const std::vector<bool>& is_member) {
-  for (const ParsedRecord& rec : records) {
-    if (!rec.ok) continue;
-    if (is_member[rec.index]) continue;
-    entries_.push_back({pack(rec.dst24), rec.ts});
-  }
-  seal();
-}
-
-NonLoopedIndex::NonLoopedIndex(const std::vector<ParsedRecord>& records,
-                               const std::vector<bool>& is_member,
-                               unsigned shard, unsigned num_shards) {
-  for (const ParsedRecord& rec : records) {
-    if (!rec.ok) continue;
-    if (is_member[rec.index]) continue;
-    if (shard_of_prefix(rec.dst24, num_shards) != shard) continue;
-    entries_.push_back({pack(rec.dst24), rec.ts});
-  }
-  seal();
-}
-
 NonLoopedIndex::NonLoopedIndex(const RecordStore& store,
                                const std::vector<bool>& is_member) {
   rebuild(store, is_member);
-}
-
-NonLoopedIndex::NonLoopedIndex(const RecordStore& store,
-                               const std::vector<bool>& is_member,
-                               unsigned shard, unsigned num_shards) {
-  rebuild(store, is_member, shard, num_shards);
 }
 
 void NonLoopedIndex::rebuild(const RecordStore& store,
@@ -95,21 +67,6 @@ void NonLoopedIndex::rebuild(const RecordStore& store,
   for (std::size_t i = 0; i < n; ++i) {
     if (!store.ok(i)) continue;
     if (is_member[i]) continue;
-    entries_.push_back({store.dst24_key(i), store.ts(i)});
-  }
-  seal();
-}
-
-void NonLoopedIndex::rebuild(const RecordStore& store,
-                             const std::vector<bool>& is_member,
-                             unsigned shard, unsigned num_shards) {
-  entries_.clear();
-  const std::size_t n = store.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!store.ok(i)) continue;
-    if (is_member[i]) continue;
-    // shard_of_prefix over the packed key: mix64(pack(prefix)) % num_shards.
-    if (mix64(store.dst24_key(i)) % num_shards != shard) continue;
     entries_.push_back({store.dst24_key(i), store.ts(i)});
   }
   seal();
@@ -148,6 +105,13 @@ std::size_t NonLoopedIndex::prefix_count() const {
     }
   }
   return count;
+}
+
+const NonLoopedIndex& NonLoopedScratch::build(
+    const RecordStore& store, const std::vector<ReplicaStream>& streams) {
+  stream_membership(store.size(), streams, membership);
+  index.rebuild(store, membership);
+  return index;
 }
 
 }  // namespace rloop::core

@@ -13,51 +13,34 @@
 // append-only pass plus one sort (no per-prefix node allocation or
 // rehashing), and a query is a single lower_bound over contiguous memory.
 // The packed key is (addr << 8) | len — the same packing std::hash<Prefix>
-// and shard_of_prefix use.
+// uses.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "core/record.h"
 #include "core/record_store.h"
 #include "net/prefix.h"
 #include "net/time.h"
 
 namespace rloop::core {
 
+struct ReplicaStream;  // core/replica_detector.h
+
 class NonLoopedIndex {
  public:
   // An empty index that answers "no" to every query; fill it with rebuild().
-  // The pipeline workspace keeps one default-constructed index per shard
-  // and rebuilds it every run, reusing entry and radix-scratch capacity.
   NonLoopedIndex() = default;
 
-  // `is_member[i]` marks record i as belonging to some replica stream.
-  NonLoopedIndex(const std::vector<ParsedRecord>& records,
-                 const std::vector<bool>& is_member);
-
-  // As above, restricted to records whose dst24 lands in `shard` of
-  // `num_shards` (core::shard_of_prefix). The parallel validator and merger
-  // only ever query a stream's own prefix, so the shard that owns the prefix
-  // answers exactly as the global index would.
-  NonLoopedIndex(const std::vector<ParsedRecord>& records,
-                 const std::vector<bool>& is_member, unsigned shard,
-                 unsigned num_shards);
-
-  // Columnized equivalents: same index, built from the SoA store's dst24 /
-  // ts / ok columns (no ParsedRecord traversal).
+  // `is_member[i]` marks record i as belonging to some replica stream; the
+  // index covers every other record of `store` that parsed ok.
   NonLoopedIndex(const RecordStore& store, const std::vector<bool>& is_member);
-  NonLoopedIndex(const RecordStore& store, const std::vector<bool>& is_member,
-                 unsigned shard, unsigned num_shards);
 
-  // In-place equivalents of the store constructors: identical entries and
-  // order, but the entry vector and the radix-sort scratch keep their
-  // capacity from the previous build, so a warm rebuild allocates nothing.
+  // In-place equivalent of the constructor: identical entries and order,
+  // but the entry vector and the radix-sort scratch keep their capacity from
+  // the previous build, so a warm rebuild allocates nothing.
   void rebuild(const RecordStore& store, const std::vector<bool>& is_member);
-  void rebuild(const RecordStore& store, const std::vector<bool>& is_member,
-               unsigned shard, unsigned num_shards);
 
   // Any non-looped packet to `prefix24` with timestamp in [from, to]?
   bool any_in(const net::Prefix& prefix24, net::TimeNs from,
@@ -85,6 +68,21 @@ class NonLoopedIndex {
   // Radix-sort scatter target, kept as a member so rebuild() reuses its
   // capacity (seal() ping-pongs entries_ and scratch_ per pass).
   std::vector<Entry> scratch_;
+};
+
+// Reusable storage for the index that validation and merging each build: the
+// stream-membership bitmap and the NonLoopedIndex over the remaining records.
+// StreamValidator::validate and StreamMerger::merge take one optionally; the
+// pipeline workspace keeps a single scratch across both stages and across
+// runs, so a warm build reuses all of its capacity.
+struct NonLoopedScratch {
+  std::vector<bool> membership;
+  NonLoopedIndex index;
+
+  // Marks every record of `streams` as looped, rebuilds `index` over the
+  // rest of `store`, and returns it.
+  const NonLoopedIndex& build(const RecordStore& store,
+                              const std::vector<ReplicaStream>& streams);
 };
 
 }  // namespace rloop::core

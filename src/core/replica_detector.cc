@@ -2,19 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <string>
-#include <unordered_map>
 
 #include "core/detect_state.h"
-#include "util/arena.h"
-#include "util/flat_map.h"
 #include "util/simd.h"
 
 namespace rloop::core {
 
 using detail::FlatDetectState;
-using detail::LocalCounts;
-using detail::sort_streams;
 
 std::vector<int> ReplicaStream::ttl_deltas() const {
   std::vector<int> deltas;
@@ -68,7 +62,6 @@ ReplicaDetector::ReplicaDetector(ReplicaDetectorConfig config,
                                  telemetry::Registry* registry,
                                  telemetry::DecisionLog* journal)
     : config_(config),
-      registry_(registry),
       journal_(journal),
       m_records_(telemetry::get_counter(
           registry, "rloop_detector_records_total", {},
@@ -93,146 +86,7 @@ ReplicaDetector::ReplicaDetector(ReplicaDetectorConfig config,
 // The flat engine itself (FlatDetectState and its helpers) lives in
 // core/detect_state.h: the staged dataflow in core/pipeline.cc keeps one
 // warm state per shard across runs, so it needs the type, not just the
-// detect() entry points below.
-
-namespace {
-
-// ---------------------------------------------------------------------------
-// Reference engine (pre-flat-map), retained verbatim as the differential
-// oracle for detect_reference(). Do not modify without regenerating the
-// golden fixtures — its output defines the pipeline's semantics.
-
-struct OpenStream {
-  ReplicaStream stream;
-  std::uint8_t last_ttl = 0;
-  net::TimeNs last_ts = 0;
-};
-
-struct DetectState {
-  DetectState(const ReplicaDetectorConfig& cfg, telemetry::Histogram* sp,
-              telemetry::DecisionLog* jl)
-      : config(cfg), spacing(sp), journal(jl) {}
-
-  const ReplicaDetectorConfig& config;
-  telemetry::Histogram* spacing;
-  telemetry::DecisionLog* journal;
-
-  // Several streams can be open for one key (IP ID reuse over a long trace),
-  // so each key maps to a small vector of open streams.
-  std::unordered_map<ReplicaKey, std::vector<OpenStream>, ReplicaKeyHash> open;
-  std::vector<ReplicaStream> closed;
-  LocalCounts counts;
-
-  static constexpr std::uint32_t kSweepInterval = 1 << 16;
-  std::uint32_t since_sweep = 0;
-
-  void close_stream(OpenStream&& os) {
-    if (os.stream.size() >= 2) {
-      ++counts.emitted;
-      telemetry::record(
-          journal,
-          {.kind = telemetry::DecisionKind::stream_emitted,
-           .dst24 = os.stream.dst24,
-           .ts = os.stream.end(),
-           .record_index = os.stream.replicas.front().record_index,
-           .detail = static_cast<std::int64_t>(os.stream.size()),
-           .detail2 = os.stream.start()});
-      closed.push_back(std::move(os.stream));
-    }
-  }
-
-  void process(const ParsedRecord& rec, const ReplicaKey& key) {
-    ++counts.records;
-
-    if (++since_sweep >= kSweepInterval) {
-      since_sweep = 0;
-      for (auto it = open.begin(); it != open.end();) {
-        auto& vec = it->second;
-        for (auto sit = vec.begin(); sit != vec.end();) {
-          if (rec.ts - sit->last_ts > config.stream_timeout) {
-            ++counts.expired;
-            close_stream(std::move(*sit));
-            sit = vec.erase(sit);
-          } else {
-            ++sit;
-          }
-        }
-        it = vec.empty() ? open.erase(it) : std::next(it);
-      }
-    }
-
-    auto& streams = open[key];
-
-    // Expire stale streams for this key first.
-    for (auto it = streams.begin(); it != streams.end();) {
-      if (rec.ts - it->last_ts > config.stream_timeout) {
-        ++counts.expired;
-        close_stream(std::move(*it));
-        it = streams.erase(it);
-      } else {
-        ++it;
-      }
-    }
-
-    // Try to extend the most recent compatible stream.
-    for (auto it = streams.rbegin(); it != streams.rend(); ++it) {
-      const int delta =
-          static_cast<int>(it->last_ttl) - static_cast<int>(rec.pkt.ip.ttl);
-      const bool looped = delta >= config.min_ttl_delta;
-      const bool duplicate = config.keep_link_layer_duplicates && delta == 0;
-      if (looped || duplicate) {
-        ++counts.replicas;
-        telemetry::observe(spacing,
-                           static_cast<double>(rec.ts - it->last_ts));
-        it->stream.replicas.push_back({rec.index, rec.ts, rec.pkt.ip.ttl});
-        if (looped) it->last_ttl = rec.pkt.ip.ttl;
-        it->last_ts = rec.ts;
-        telemetry::record(
-            journal, {.kind = telemetry::DecisionKind::replica_accepted,
-                      .dst24 = rec.dst24,
-                      .ts = rec.ts,
-                      .record_index = rec.index,
-                      .detail = delta,
-                      .detail2 = static_cast<std::int64_t>(it->stream.size())});
-        return;
-      }
-    }
-
-    if (!streams.empty()) {
-      telemetry::record(
-          journal, {.kind = telemetry::DecisionKind::replica_rejected,
-                    .dst24 = rec.dst24,
-                    .ts = rec.ts,
-                    .record_index = rec.index,
-                    .detail = static_cast<int>(streams.back().last_ttl) -
-                              static_cast<int>(rec.pkt.ip.ttl)});
-    }
-
-    // Start a new stream headed by this packet.
-    ++counts.opened;
-    OpenStream os;
-    os.stream.key = key;
-    os.stream.dst = rec.pkt.ip.dst;
-    os.stream.dst24 = rec.dst24;
-    os.stream.replicas.push_back({rec.index, rec.ts, rec.pkt.ip.ttl});
-    os.last_ttl = rec.pkt.ip.ttl;
-    os.last_ts = rec.ts;
-    streams.push_back(std::move(os));
-  }
-
-  std::vector<ReplicaStream> finish() {
-    for (auto& [key, streams] : open) {
-      for (auto& os : streams) {
-        close_stream(std::move(os));
-      }
-    }
-    open.clear();
-    sort_streams(closed);
-    return std::move(closed);
-  }
-};
-
-}  // namespace
+// detect() entry point below.
 
 std::vector<ReplicaStream> ReplicaDetector::detect(
     const RecordStore& store) const {
@@ -242,123 +96,6 @@ std::vector<ReplicaStream> ReplicaDetector::detect(
     if (!store.ok(i)) continue;
     state.process(store, i,
                   make_replica_key(store.bytes(i), store.key_hash(i)));
-  }
-  auto closed = state.finish();
-
-  telemetry::inc(m_records_, state.counts.records);
-  telemetry::inc(m_replicas_, state.counts.replicas);
-  telemetry::inc(m_streams_opened_, state.counts.opened);
-  telemetry::inc(m_streams_expired_, state.counts.expired);
-  telemetry::inc(m_streams_emitted_, state.counts.emitted);
-  return closed;
-}
-
-std::vector<ReplicaStream> ReplicaDetector::detect(
-    const net::Trace& trace, const std::vector<ParsedRecord>& records) const {
-  return detect(RecordStore::build(trace, records));
-}
-
-std::vector<ReplicaStream> ReplicaDetector::detect_sharded(
-    const RecordStore& store, util::ThreadPool& pool,
-    unsigned num_shards) const {
-  if (num_shards < 2) return detect(store);
-  const std::size_t n = store.size();
-
-  // Shard assignment is one vectorized pass over the hash column (shard
-  // counts are powers of two from ParallelConfig, so the modulo is a mask;
-  // the scalar fallback covers a caller-supplied odd count). !ok rows get a
-  // shard computed from their zero hash, harmless: both passes below skip
-  // them.
-  std::vector<std::uint32_t> shard_ids(n);
-  if (n > 0) {
-    if ((num_shards & (num_shards - 1)) == 0) {
-      util::simd::mix64_mask(store.key_hash_column().data(), shard_ids.data(),
-                             n, num_shards - 1);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        shard_ids[i] = shard_of_key_hash(store.key_hash(i), num_shards);
-      }
-    }
-  }
-
-  // Per-shard record-index lists, in trace (= time) order, sized exactly:
-  // one counting pass, then one reserve per shard.
-  std::vector<std::uint32_t> shard_size(num_shards, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!store.ok(i)) continue;
-    ++shard_size[shard_ids[i]];
-  }
-  std::vector<std::vector<std::uint32_t>> shard_records(num_shards);
-  for (unsigned s = 0; s < num_shards; ++s) {
-    shard_records[s].reserve(shard_size[s]);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!store.ok(i)) continue;
-    shard_records[shard_ids[i]].push_back(static_cast<std::uint32_t>(i));
-  }
-
-  // Parallel over shards: the serial state machine per shard, fed exactly
-  // the records whose key hashes to it.
-  std::vector<telemetry::Histogram*> shard_latency(num_shards, nullptr);
-  for (unsigned s = 0; s < num_shards; ++s) {
-    shard_latency[s] = telemetry::get_histogram(
-        registry_, "rloop_pipeline_shard_latency_ns",
-        telemetry::latency_bounds_ns(),
-        {{"stage", "detect"}, {"shard", std::to_string(s)}},
-        "Wall-clock latency of one pipeline shard per sharded call");
-  }
-  std::vector<std::vector<ReplicaStream>> shard_closed(num_shards);
-  std::vector<LocalCounts> shard_counts(num_shards);
-  pool.parallel_for(num_shards, [&](std::size_t s) {
-    const telemetry::ScopedTimer timer(shard_latency[s]);
-    FlatDetectState state(config_, m_spacing_, journal_);
-    for (const std::uint32_t i : shard_records[s]) {
-      // Reuse the store's hash: per-shard key construction is a masked copy.
-      state.process(store, i,
-                    make_replica_key(store.bytes(i), store.key_hash(i)));
-    }
-    shard_closed[s] = state.finish();
-    shard_counts[s] = state.counts;
-  }, "detect_shard");
-
-  // Merge: concatenate and restore the canonical (start, first record index)
-  // total order — identical to the serial sort because the comparator is a
-  // strict total order over streams.
-  LocalCounts counts;
-  std::size_t total_streams = 0;
-  for (unsigned s = 0; s < num_shards; ++s) {
-    counts.add(shard_counts[s]);
-    total_streams += shard_closed[s].size();
-  }
-  std::vector<ReplicaStream> closed;
-  closed.reserve(total_streams);
-  for (auto& shard : shard_closed) {
-    std::move(shard.begin(), shard.end(), std::back_inserter(closed));
-  }
-  sort_streams(closed);
-
-  telemetry::inc(m_records_, counts.records);
-  telemetry::inc(m_replicas_, counts.replicas);
-  telemetry::inc(m_streams_opened_, counts.opened);
-  telemetry::inc(m_streams_expired_, counts.expired);
-  telemetry::inc(m_streams_emitted_, counts.emitted);
-  return closed;
-}
-
-std::vector<ReplicaStream> ReplicaDetector::detect_sharded(
-    const net::Trace& trace, const std::vector<ParsedRecord>& records,
-    util::ThreadPool& pool, unsigned num_shards) const {
-  if (num_shards < 2) return detect(trace, records);
-  return detect_sharded(RecordStore::build_parallel(trace, records, pool),
-                        pool, num_shards);
-}
-
-std::vector<ReplicaStream> ReplicaDetector::detect_reference(
-    const net::Trace& trace, const std::vector<ParsedRecord>& records) const {
-  DetectState state(config_, m_spacing_, journal_);
-  for (const ParsedRecord& rec : records) {
-    if (!rec.ok) continue;
-    state.process(rec, make_replica_key(trace[rec.index].bytes()));
   }
   auto closed = state.finish();
 

@@ -15,14 +15,12 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/parallel.h"
 #include "core/record.h"
 #include "core/record_store.h"
 #include "core/replica_key.h"
 #include "net/time.h"
 #include "telemetry/decision_log.h"
 #include "telemetry/registry.h"
-#include "util/thread_pool.h"
 
 namespace rloop::core {
 
@@ -80,46 +78,13 @@ class ReplicaDetector {
   // The store is the columnized trace (RecordStore::build); records with
   // ok == false are ignored. The hot path runs on a flat open-addressing
   // table (util/flat_map.h) with arena-backed replica lists (util/arena.h);
-  // output is field-identical to detect_reference() — the differential
+  // output is field-identical to the straightforward unordered_map engine
+  // kept as a test oracle (tests/reference_detector.h) — the differential
   // tests in tests/test_memory_layout.cc prove it.
   std::vector<ReplicaStream> detect(const RecordStore& store) const;
 
-  // Convenience wrapper: columnizes (trace, records) and runs detect().
-  // `records` must be parse_trace(trace).
-  std::vector<ReplicaStream> detect(
-      const net::Trace& trace,
-      const std::vector<ParsedRecord>& records) const;
-
-  // Sharded detect(): partitions records by hash(ReplicaKey) % num_shards —
-  // every observation of one normalized header lands in one shard, in trace
-  // order, so per-shard streams are exactly the serial streams — runs the
-  // shards on `pool`, and merges by the same (start time, first record
-  // index) total order the serial path sorts by. The store's key-hash
-  // column drives both shard assignment and per-shard key construction, so
-  // FNV runs exactly once per record. Output is field-identical to detect()
-  // for any (pool size, num_shards); the streams-expired counter alone may
-  // differ, because the periodic table sweep (a memory bound, not an
-  // algorithm step) fires per shard.
-  std::vector<ReplicaStream> detect_sharded(const RecordStore& store,
-                                            util::ThreadPool& pool,
-                                            unsigned num_shards) const;
-
-  // Convenience wrapper: columnizes on `pool` and runs detect_sharded().
-  std::vector<ReplicaStream> detect_sharded(
-      const net::Trace& trace, const std::vector<ParsedRecord>& records,
-      util::ThreadPool& pool, unsigned num_shards) const;
-
-  // The pre-flat-map engine (std::unordered_map of std::vector streams),
-  // retained verbatim as the differential oracle: detect() must produce
-  // field-identical output on every input, and bench/memory_layout.cc pins
-  // the old and new engines side by side. Not used by the pipeline.
-  std::vector<ReplicaStream> detect_reference(
-      const net::Trace& trace,
-      const std::vector<ParsedRecord>& records) const;
-
  private:
   ReplicaDetectorConfig config_;
-  telemetry::Registry* registry_ = nullptr;
   telemetry::DecisionLog* journal_ = nullptr;
   telemetry::Counter* m_records_ = nullptr;
   telemetry::Counter* m_replicas_ = nullptr;

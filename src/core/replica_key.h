@@ -39,9 +39,8 @@ struct ReplicaKey {
 ReplicaKey make_replica_key(std::span<const std::byte> captured);
 
 // Same key, but with the hash supplied by the caller (it must equal
-// replica_key_hash(captured)). Skips the FNV pass — the sharded detector
-// already hashed every record to assign shards, so per-shard key
-// construction is a masked copy only.
+// replica_key_hash(captured)). Skips the FNV pass — the record store's hash
+// column already holds it, so key construction is a masked copy only.
 ReplicaKey make_replica_key(std::span<const std::byte> captured,
                             std::uint64_t precomputed_hash);
 

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <memory>
-#include <string>
 
 namespace rloop::core {
 
 StreamMerger::StreamMerger(MergerConfig config, telemetry::Registry* registry,
                            telemetry::DecisionLog* journal)
     : config_(config),
-      registry_(registry),
       journal_(journal),
       m_merges_(telemetry::get_counter(
           registry, "rloop_merger_merges_total", {},
@@ -21,8 +18,7 @@ StreamMerger::StreamMerger(MergerConfig config, telemetry::Registry* registry,
 namespace {
 
 // Merges one prefix's streams (indices into `valid_streams`, any order) into
-// loops appended to `loops`. Shared verbatim by the serial and sharded paths
-// so they cannot drift; `merges` counts pairs folded into an open loop.
+// loops appended to `loops`; `merges` counts pairs folded into an open loop.
 void merge_prefix_group(const net::Prefix& prefix,
                         std::vector<std::uint32_t>& indices,
                         const std::vector<ReplicaStream>& valid_streams,
@@ -128,32 +124,23 @@ void merge_prefix_group(const net::Prefix& prefix,
   flush();
 }
 
-void sort_loops(std::vector<RoutingLoop>& loops) {
-  std::sort(loops.begin(), loops.end(),
-            [](const RoutingLoop& a, const RoutingLoop& b) {
-              if (a.prefix24 != b.prefix24) return a.prefix24 < b.prefix24;
-              return a.start < b.start;
-            });
-}
+}  // namespace
 
-// Groups the stream indices selected by `keep` by prefix and runs
-// merge_prefix_group once per group. This replaces the ordered-map grouping
-// the merger used to build: sorting the index list by (prefix, index) yields
-// the same ascending-prefix iteration with ascending stream index inside
-// each group — the exact order the map produced — without a node allocation
-// per prefix. `order` and `group` are caller-owned scratch so warm calls
-// reuse their capacity.
-template <typename Keep>
-void group_and_merge(const std::vector<ReplicaStream>& valid_streams,
-                     const Keep& keep, std::vector<std::uint32_t>& order,
-                     std::vector<std::uint32_t>& group,
-                     const NonLoopedIndex& index, net::TimeNs merge_gap,
-                     std::vector<RoutingLoop>& loops, std::uint64_t& merges,
-                     telemetry::DecisionLog* journal) {
-  order.clear();
-  for (std::uint32_t i = 0; i < valid_streams.size(); ++i) {
-    if (keep(i)) order.push_back(i);
-  }
+std::vector<RoutingLoop> StreamMerger::merge(
+    const RecordStore& store, const std::vector<ReplicaStream>& valid_streams,
+    NonLoopedScratch* scratch) const {
+  // Gap checks use non-looped traffic, where "looped" means membership in a
+  // validated stream: the question is whether forwarding for the prefix was
+  // demonstrably healthy between two streams.
+  NonLoopedScratch local_scratch;
+  const NonLoopedIndex& index =
+      (scratch ? *scratch : local_scratch).build(store, valid_streams);
+
+  // Group stream indices by prefix: sorting the index list by (prefix,
+  // index) yields ascending prefixes with ascending stream index inside
+  // each group, without a node allocation per prefix.
+  std::vector<std::uint32_t> order(valid_streams.size());
+  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(),
             [&](std::uint32_t a, std::uint32_t b) {
               const net::Prefix& pa = valid_streams[a].dst24;
@@ -161,6 +148,10 @@ void group_and_merge(const std::vector<ReplicaStream>& valid_streams,
               if (pa != pb) return pa < pb;
               return a < b;
             });
+
+  std::vector<std::uint32_t> group;
+  std::vector<RoutingLoop> loops;
+  std::uint64_t merges = 0;
   std::size_t i = 0;
   while (i < order.size()) {
     const net::Prefix prefix = valid_streams[order[i]].dst24;
@@ -168,165 +159,18 @@ void group_and_merge(const std::vector<ReplicaStream>& valid_streams,
     while (j < order.size() && valid_streams[order[j]].dst24 == prefix) ++j;
     group.assign(order.begin() + static_cast<std::ptrdiff_t>(i),
                  order.begin() + static_cast<std::ptrdiff_t>(j));
-    merge_prefix_group(prefix, group, valid_streams, index, merge_gap, loops,
-                       merges, journal);
+    merge_prefix_group(prefix, group, valid_streams, index, config_.merge_gap,
+                       loops, merges, journal_);
     i = j;
   }
-}
-
-}  // namespace
-
-std::vector<RoutingLoop> StreamMerger::merge(
-    const std::vector<ParsedRecord>& records,
-    const std::vector<ReplicaStream>& valid_streams) const {
-  // Gap checks use non-looped traffic, where "looped" means membership in a
-  // validated stream: the question is whether forwarding for the prefix was
-  // demonstrably healthy between two streams.
-  const auto member = stream_membership(records.size(), valid_streams);
-  const NonLoopedIndex index(records, member);
-  return merge_with_index(index, valid_streams);
-}
-
-std::vector<RoutingLoop> StreamMerger::merge(
-    const RecordStore& store,
-    const std::vector<ReplicaStream>& valid_streams) const {
-  const auto member = stream_membership(store.size(), valid_streams);
-  const NonLoopedIndex index(store, member);
-  return merge_with_index(index, valid_streams);
-}
-
-std::vector<RoutingLoop> StreamMerger::merge_with_index(
-    const NonLoopedIndex& index,
-    const std::vector<ReplicaStream>& valid_streams) const {
-  std::vector<std::uint32_t> order;
-  std::vector<std::uint32_t> group;
-  std::vector<RoutingLoop> loops;
-  std::uint64_t merges = 0;
-  group_and_merge(
-      valid_streams, [](std::uint32_t) { return true; }, order, group, index,
-      config_.merge_gap, loops, merges, journal_);
   telemetry::inc(m_merges_, merges);
   telemetry::inc(m_loops_, loops.size());
 
-  sort_loops(loops);
-  return loops;
-}
-
-std::vector<RoutingLoop> StreamMerger::merge_sharded(
-    const std::vector<ParsedRecord>& records,
-    const std::vector<ReplicaStream>& valid_streams, util::ThreadPool& pool,
-    unsigned num_shards) const {
-  if (num_shards < 2) return merge(records, valid_streams);
-  auto member = std::make_shared<const std::vector<bool>>(
-      stream_membership(records.size(), valid_streams));
-  return merge_sharded_impl(
-      [&records, member, num_shards](unsigned s, NonLoopedIndex& out) {
-        out = NonLoopedIndex(records, *member, s, num_shards);
-      },
-      valid_streams, pool, num_shards, nullptr);
-}
-
-std::vector<RoutingLoop> StreamMerger::merge_sharded(
-    const RecordStore& store,
-    const std::vector<ReplicaStream>& valid_streams, util::ThreadPool& pool,
-    unsigned num_shards) const {
-  if (num_shards < 2) return merge(store, valid_streams);
-  auto member = std::make_shared<const std::vector<bool>>(
-      stream_membership(store.size(), valid_streams));
-  return merge_sharded_impl(
-      [&store, member, num_shards](unsigned s, NonLoopedIndex& out) {
-        out = NonLoopedIndex(store, *member, s, num_shards);
-      },
-      valid_streams, pool, num_shards, nullptr);
-}
-
-std::vector<RoutingLoop> StreamMerger::merge_sharded(
-    const RecordStore& store,
-    const std::vector<ReplicaStream>& valid_streams, util::ThreadPool& pool,
-    unsigned num_shards, MergerScratch& scratch) const {
-  if (num_shards < 2) {
-    stream_membership(store.size(), valid_streams, scratch.membership);
-    scratch.shard_indexes.resize(1);
-    scratch.shard_indexes[0].rebuild(store, scratch.membership);
-    return merge_with_index(scratch.shard_indexes[0], valid_streams);
-  }
-  stream_membership(store.size(), valid_streams, scratch.membership);
-  const std::vector<bool>& member = scratch.membership;
-  return merge_sharded_impl(
-      [&store, &member, num_shards](unsigned s, NonLoopedIndex& out) {
-        out.rebuild(store, member, s, num_shards);
-      },
-      valid_streams, pool, num_shards, &scratch);
-}
-
-std::vector<RoutingLoop> StreamMerger::merge_sharded_impl(
-    const std::function<void(unsigned, NonLoopedIndex&)>& build_shard,
-    const std::vector<ReplicaStream>& valid_streams, util::ThreadPool& pool,
-    unsigned num_shards, MergerScratch* scratch) const {
-  std::vector<telemetry::Histogram*> local_latency;
-  std::vector<telemetry::Histogram*>& shard_latency =
-      scratch ? scratch->shard_latency : local_latency;
-  shard_latency.assign(num_shards, nullptr);
-  for (unsigned s = 0; s < num_shards; ++s) {
-    shard_latency[s] = telemetry::get_histogram(
-        registry_, "rloop_pipeline_shard_latency_ns",
-        telemetry::latency_bounds_ns(),
-        {{"stage", "merge"}, {"shard", std::to_string(s)}},
-        "Wall-clock latency of one pipeline shard per sharded call");
-  }
-
-  std::vector<std::vector<RoutingLoop>> local_loops;
-  std::vector<std::vector<RoutingLoop>>& shard_loops =
-      scratch ? scratch->shard_loops : local_loops;
-  shard_loops.resize(num_shards);
-  for (auto& v : shard_loops) v.clear();
-  std::vector<std::uint64_t> local_merges;
-  std::vector<std::uint64_t>& shard_merges =
-      scratch ? scratch->shard_merges : local_merges;
-  shard_merges.assign(num_shards, 0);
-  if (scratch) {
-    scratch->shard_indexes.resize(num_shards);
-    scratch->shard_order.resize(num_shards);
-    scratch->shard_group.resize(num_shards);
-  }
-  pool.parallel_for(num_shards, [&](std::size_t s) {
-    const telemetry::ScopedTimer timer(shard_latency[s]);
-    NonLoopedIndex local_index;
-    NonLoopedIndex& index =
-        scratch ? scratch->shard_indexes[s] : local_index;
-    build_shard(static_cast<unsigned>(s), index);
-    // Group this shard's prefixes only, with global stream indices.
-    std::vector<std::uint32_t> local_order;
-    std::vector<std::uint32_t> local_group;
-    std::vector<std::uint32_t>& order =
-        scratch ? scratch->shard_order[s] : local_order;
-    std::vector<std::uint32_t>& group =
-        scratch ? scratch->shard_group[s] : local_group;
-    group_and_merge(
-        valid_streams,
-        [&](std::uint32_t i) {
-          return shard_of_prefix(valid_streams[i].dst24, num_shards) == s;
-        },
-        order, group, index, config_.merge_gap, shard_loops[s],
-        shard_merges[s], journal_);
-  }, "merge_shard");
-
-  std::vector<RoutingLoop> loops;
-  std::uint64_t merges = 0;
-  std::size_t total = 0;
-  for (unsigned s = 0; s < num_shards; ++s) total += shard_loops[s].size();
-  loops.reserve(total);
-  for (unsigned s = 0; s < num_shards; ++s) {
-    merges += shard_merges[s];
-    std::move(shard_loops[s].begin(), shard_loops[s].end(),
-              std::back_inserter(loops));
-  }
-  telemetry::inc(m_merges_, merges);
-  telemetry::inc(m_loops_, loops.size());
-
-  // (prefix, start) is a total order — two loops for one prefix are disjoint
-  // in time — so this sort reproduces the serial output order exactly.
-  sort_loops(loops);
+  std::sort(loops.begin(), loops.end(),
+            [](const RoutingLoop& a, const RoutingLoop& b) {
+              if (a.prefix24 != b.prefix24) return a.prefix24 < b.prefix24;
+              return a.start < b.start;
+            });
   return loops;
 }
 

@@ -8,10 +8,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "core/parallel.h"
 #include "core/prefix_index.h"
 #include "core/record_store.h"
 #include "core/replica_detector.h"
@@ -19,7 +17,6 @@
 #include "net/time.h"
 #include "telemetry/decision_log.h"
 #include "telemetry/registry.h"
-#include "util/thread_pool.h"
 
 namespace rloop::core {
 
@@ -41,21 +38,6 @@ struct MergerConfig {
   net::TimeNs merge_gap = net::kMinute;
 };
 
-// Reusable buffers for the store-based merge_sharded(): the membership
-// bitmap, one NonLoopedIndex per shard (rebuilt in place), per-shard
-// grouping scratch and output vectors, and the resolved shard-latency
-// histogram pointers. A warm call through a scratch reuses all of their
-// capacity; results are identical to the scratch-free overloads.
-struct MergerScratch {
-  std::vector<bool> membership;
-  std::vector<NonLoopedIndex> shard_indexes;
-  std::vector<std::vector<std::uint32_t>> shard_order;
-  std::vector<std::vector<std::uint32_t>> shard_group;
-  std::vector<std::vector<RoutingLoop>> shard_loops;
-  std::vector<std::uint64_t> shard_merges;
-  std::vector<telemetry::Histogram*> shard_latency;
-};
-
 class StreamMerger {
  public:
   // `registry` (optional) receives merge and loop counters. `journal`
@@ -66,60 +48,18 @@ class StreamMerger {
                         telemetry::Registry* registry = nullptr,
                         telemetry::DecisionLog* journal = nullptr);
 
-  // `valid_streams` is the validator's output; `records` the parsed trace
+  // `valid_streams` is the validator's output; `store` the columnized trace
   // (needed to check gaps for non-looped traffic). Returns loops ordered by
-  // (prefix, start time).
-  std::vector<RoutingLoop> merge(
-      const std::vector<ParsedRecord>& records,
-      const std::vector<ReplicaStream>& valid_streams) const;
-
-  // Columnized equivalent: identical loops, with the NonLoopedIndex built
-  // from the SoA store's columns instead of ParsedRecords.
+  // (prefix, start time). `scratch` (optional) supplies the membership
+  // bitmap and NonLoopedIndex storage, so a warm call reuses their capacity;
+  // loops are identical with or without it.
   std::vector<RoutingLoop> merge(
       const RecordStore& store,
-      const std::vector<ReplicaStream>& valid_streams) const;
-
-  // Sharded merge(): partitions prefixes across shards (merging is
-  // independent per /24 — streams of different prefixes never merge), each
-  // shard using a NonLoopedIndex of its own prefixes for the gap checks.
-  // Per-shard loops are concatenated and sorted by the same (prefix, start)
-  // total order merge() uses, so output is field-identical for any pool
-  // size and shard count. Loops' stream_indices are global indices into
-  // `valid_streams`, exactly as in the serial path.
-  std::vector<RoutingLoop> merge_sharded(
-      const std::vector<ParsedRecord>& records,
-      const std::vector<ReplicaStream>& valid_streams, util::ThreadPool& pool,
-      unsigned num_shards) const;
-
-  // Columnized equivalent of merge_sharded().
-  std::vector<RoutingLoop> merge_sharded(
-      const RecordStore& store,
-      const std::vector<ReplicaStream>& valid_streams, util::ThreadPool& pool,
-      unsigned num_shards) const;
-
-  // As above, reusing `scratch` buffers across calls (pipeline workspace
-  // path). Output loops and order are identical.
-  std::vector<RoutingLoop> merge_sharded(
-      const RecordStore& store,
-      const std::vector<ReplicaStream>& valid_streams, util::ThreadPool& pool,
-      unsigned num_shards, MergerScratch& scratch) const;
+      const std::vector<ReplicaStream>& valid_streams,
+      NonLoopedScratch* scratch = nullptr) const;
 
  private:
-  // Shared merge loops; the record-based and store-based overloads differ
-  // only in how the NonLoopedIndex is built, so both delegate here and
-  // cannot drift. `build_shard` fills the provided index for one shard;
-  // `scratch` (optional) supplies per-shard index/grouping/output storage,
-  // otherwise locals are used.
-  std::vector<RoutingLoop> merge_with_index(
-      const NonLoopedIndex& index,
-      const std::vector<ReplicaStream>& valid_streams) const;
-  std::vector<RoutingLoop> merge_sharded_impl(
-      const std::function<void(unsigned, NonLoopedIndex&)>& build_shard,
-      const std::vector<ReplicaStream>& valid_streams, util::ThreadPool& pool,
-      unsigned num_shards, MergerScratch* scratch) const;
-
   MergerConfig config_;
-  telemetry::Registry* registry_ = nullptr;
   telemetry::DecisionLog* journal_ = nullptr;
   telemetry::Counter* m_merges_ = nullptr;
   telemetry::Counter* m_loops_ = nullptr;

@@ -1,8 +1,6 @@
 #include "core/stream_validator.h"
 
 #include <cstdint>
-#include <memory>
-#include <string>
 
 namespace rloop::core {
 
@@ -10,7 +8,6 @@ StreamValidator::StreamValidator(ValidatorConfig config,
                                  telemetry::Registry* registry,
                                  telemetry::DecisionLog* journal)
     : config_(config),
-      registry_(registry),
       journal_(journal),
       m_accepted_(telemetry::get_counter(
           registry, "rloop_validator_streams_accepted_total", {},
@@ -75,27 +72,15 @@ Verdict judge(const ReplicaStream& stream, std::size_t min_replicas,
 }  // namespace
 
 std::vector<ReplicaStream> StreamValidator::validate(
-    const std::vector<ParsedRecord>& records,
-    std::vector<ReplicaStream> streams, ValidationStats* stats) const {
+    const RecordStore& store, std::vector<ReplicaStream> streams,
+    ValidationStats* stats, NonLoopedScratch* scratch) const {
   // Membership covers every raw stream (>= 2 elements): even a stream that
   // itself fails validation consists of looped-looking packets, which must
   // not count as refuting evidence against an overlapping stream.
-  const auto member = stream_membership(records.size(), streams);
-  const NonLoopedIndex index(records, member);
-  return validate_with_index(index, std::move(streams), stats);
-}
+  NonLoopedScratch local_scratch;
+  const NonLoopedIndex& index =
+      (scratch ? *scratch : local_scratch).build(store, streams);
 
-std::vector<ReplicaStream> StreamValidator::validate(
-    const RecordStore& store, std::vector<ReplicaStream> streams,
-    ValidationStats* stats) const {
-  const auto member = stream_membership(store.size(), streams);
-  const NonLoopedIndex index(store, member);
-  return validate_with_index(index, std::move(streams), stats);
-}
-
-std::vector<ReplicaStream> StreamValidator::validate_with_index(
-    const NonLoopedIndex& index, std::vector<ReplicaStream> streams,
-    ValidationStats* stats) const {
   ValidationStats local;
   local.input_streams = streams.size();
 
@@ -118,121 +103,6 @@ std::vector<ReplicaStream> StreamValidator::validate_with_index(
         break;
     }
   }
-  if (stats) *stats = local;
-  return valid;
-}
-
-std::vector<ReplicaStream> StreamValidator::validate_sharded(
-    const std::vector<ParsedRecord>& records,
-    std::vector<ReplicaStream> streams, util::ThreadPool& pool,
-    unsigned num_shards, ValidationStats* stats) const {
-  if (num_shards < 2) return validate(records, std::move(streams), stats);
-  // The membership vector must be shared across shard-index builds, so it is
-  // captured by the factory rather than rebuilt per shard.
-  auto member = std::make_shared<const std::vector<bool>>(
-      stream_membership(records.size(), streams));
-  return validate_sharded_impl(
-      [&records, member, num_shards](unsigned s, NonLoopedIndex& out) {
-        out = NonLoopedIndex(records, *member, s, num_shards);
-      },
-      std::move(streams), pool, num_shards, nullptr, stats);
-}
-
-std::vector<ReplicaStream> StreamValidator::validate_sharded(
-    const RecordStore& store, std::vector<ReplicaStream> streams,
-    util::ThreadPool& pool, unsigned num_shards,
-    ValidationStats* stats) const {
-  if (num_shards < 2) return validate(store, std::move(streams), stats);
-  auto member = std::make_shared<const std::vector<bool>>(
-      stream_membership(store.size(), streams));
-  return validate_sharded_impl(
-      [&store, member, num_shards](unsigned s, NonLoopedIndex& out) {
-        out = NonLoopedIndex(store, *member, s, num_shards);
-      },
-      std::move(streams), pool, num_shards, nullptr, stats);
-}
-
-std::vector<ReplicaStream> StreamValidator::validate_sharded(
-    const RecordStore& store, std::vector<ReplicaStream> streams,
-    util::ThreadPool& pool, unsigned num_shards, ValidatorScratch& scratch,
-    ValidationStats* stats) const {
-  stream_membership(store.size(), streams, scratch.membership);
-  if (num_shards < 2) {
-    scratch.shard_indexes.resize(1);
-    scratch.shard_indexes[0].rebuild(store, scratch.membership);
-    return validate_with_index(scratch.shard_indexes[0], std::move(streams),
-                               stats);
-  }
-  const std::vector<bool>& member = scratch.membership;
-  return validate_sharded_impl(
-      [&store, &member, num_shards](unsigned s, NonLoopedIndex& out) {
-        out.rebuild(store, member, s, num_shards);
-      },
-      std::move(streams), pool, num_shards, &scratch, stats);
-}
-
-std::vector<ReplicaStream> StreamValidator::validate_sharded_impl(
-    const std::function<void(unsigned, NonLoopedIndex&)>& build_shard,
-    std::vector<ReplicaStream> streams, util::ThreadPool& pool,
-    unsigned num_shards, ValidatorScratch* scratch,
-    ValidationStats* stats) const {
-  ValidationStats local;
-  local.input_streams = streams.size();
-
-  std::vector<telemetry::Histogram*> local_latency;
-  std::vector<telemetry::Histogram*>& shard_latency =
-      scratch ? scratch->shard_latency : local_latency;
-  shard_latency.assign(num_shards, nullptr);
-  for (unsigned s = 0; s < num_shards; ++s) {
-    shard_latency[s] = telemetry::get_histogram(
-        registry_, "rloop_pipeline_shard_latency_ns",
-        telemetry::latency_bounds_ns(),
-        {{"stage", "validate"}, {"shard", std::to_string(s)}},
-        "Wall-clock latency of one pipeline shard per sharded call");
-  }
-
-  // Each shard judges the streams whose prefix it owns, against an index of
-  // its own prefixes only. Verdict slots are disjoint across shards.
-  // Verdicts live in a byte buffer so the scratch can own it without
-  // exposing the Verdict enum.
-  std::vector<std::uint8_t> local_verdicts;
-  std::vector<std::uint8_t>& verdicts =
-      scratch ? scratch->verdicts : local_verdicts;
-  verdicts.assign(streams.size(), static_cast<std::uint8_t>(Verdict::keep));
-  if (scratch) scratch->shard_indexes.resize(num_shards);
-  pool.parallel_for(num_shards, [&](std::size_t s) {
-    const telemetry::ScopedTimer timer(shard_latency[s]);
-    NonLoopedIndex local_index;
-    NonLoopedIndex& index =
-        scratch ? scratch->shard_indexes[s] : local_index;
-    build_shard(static_cast<unsigned>(s), index);
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-      if (shard_of_prefix(streams[i].dst24, num_shards) != s) continue;
-      verdicts[i] = static_cast<std::uint8_t>(
-          judge(streams[i], config_.min_replicas, index, journal_));
-    }
-  }, "validate_shard");
-
-  // Serial assembly in input order reproduces validate()'s output exactly.
-  std::vector<ReplicaStream> valid;
-  valid.reserve(streams.size());
-  for (std::size_t i = 0; i < streams.size(); ++i) {
-    switch (static_cast<Verdict>(verdicts[i])) {
-      case Verdict::too_small:
-        ++local.rejected_too_small;
-        break;
-      case Verdict::prefix_conflict:
-        ++local.rejected_prefix_conflict;
-        break;
-      case Verdict::keep:
-        ++local.accepted;
-        valid.push_back(std::move(streams[i]));
-        break;
-    }
-  }
-  telemetry::inc(m_accepted_, local.accepted);
-  telemetry::inc(m_rejected_small_, local.rejected_too_small);
-  telemetry::inc(m_rejected_conflict_, local.rejected_prefix_conflict);
   if (stats) *stats = local;
   return valid;
 }

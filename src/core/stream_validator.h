@@ -11,16 +11,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "core/parallel.h"
 #include "core/prefix_index.h"
 #include "core/record_store.h"
 #include "core/replica_detector.h"
 #include "telemetry/decision_log.h"
 #include "telemetry/registry.h"
-#include "util/thread_pool.h"
 
 namespace rloop::core {
 
@@ -36,18 +33,6 @@ struct ValidationStats {
   std::uint64_t accepted = 0;
 };
 
-// Reusable buffers for the store-based validate_sharded(): the membership
-// bitmap, one NonLoopedIndex per shard (rebuilt in place), the per-stream
-// verdict array, and the resolved shard-latency histogram pointers. A warm
-// call through a scratch allocates nothing; results are identical to the
-// scratch-free overloads.
-struct ValidatorScratch {
-  std::vector<bool> membership;
-  std::vector<NonLoopedIndex> shard_indexes;
-  std::vector<std::uint8_t> verdicts;
-  std::vector<telemetry::Histogram*> shard_latency;
-};
-
 class StreamValidator {
  public:
   // `registry` (optional) receives per-reason rejection counters. `journal`
@@ -59,61 +44,18 @@ class StreamValidator {
                            telemetry::Registry* registry = nullptr,
                            telemetry::DecisionLog* journal = nullptr);
 
-  // `streams` is the raw output of ReplicaDetector::detect; `records` the
-  // full parsed trace. Returns the surviving streams in input order and
-  // fills `stats` when non-null.
-  std::vector<ReplicaStream> validate(const std::vector<ParsedRecord>& records,
-                                      std::vector<ReplicaStream> streams,
-                                      ValidationStats* stats = nullptr) const;
-
-  // Columnized equivalent: identical verdicts, with the NonLoopedIndex built
-  // from the SoA store's columns instead of ParsedRecords.
-  std::vector<ReplicaStream> validate(const RecordStore& store,
-                                      std::vector<ReplicaStream> streams,
-                                      ValidationStats* stats = nullptr) const;
-
-  // Sharded validate(): partitions by destination /24 prefix. Each shard
-  // builds a NonLoopedIndex restricted to its prefixes — the only prefix a
-  // stream's validation ever queries is its own dst24, so the restricted
-  // index answers identically to the global one — and records a keep/reject
-  // verdict per stream. Verdicts are assembled back in input order, so the
-  // output (and stats) are field-identical to validate() for any pool size
-  // and shard count.
-  std::vector<ReplicaStream> validate_sharded(
-      const std::vector<ParsedRecord>& records,
-      std::vector<ReplicaStream> streams, util::ThreadPool& pool,
-      unsigned num_shards, ValidationStats* stats = nullptr) const;
-
-  // Columnized equivalent of validate_sharded().
-  std::vector<ReplicaStream> validate_sharded(
+  // `streams` is the raw output of ReplicaDetector::detect; `store` the
+  // columnized trace it ran on. Returns the surviving streams in input order
+  // and fills `stats` when non-null. `scratch` (optional) supplies the
+  // membership bitmap and NonLoopedIndex storage, so a warm call reuses
+  // their capacity; verdicts are identical with or without it.
+  std::vector<ReplicaStream> validate(
       const RecordStore& store, std::vector<ReplicaStream> streams,
-      util::ThreadPool& pool, unsigned num_shards,
-      ValidationStats* stats = nullptr) const;
-
-  // As above, reusing `scratch` buffers across calls (pipeline workspace
-  // path). Verdicts, stats and output order are identical.
-  std::vector<ReplicaStream> validate_sharded(
-      const RecordStore& store, std::vector<ReplicaStream> streams,
-      util::ThreadPool& pool, unsigned num_shards, ValidatorScratch& scratch,
-      ValidationStats* stats = nullptr) const;
+      ValidationStats* stats = nullptr,
+      NonLoopedScratch* scratch = nullptr) const;
 
  private:
-  // Shared verdict loops; the record-based and store-based overloads differ
-  // only in how the NonLoopedIndex is built, so both delegate here and
-  // cannot drift. `build_shard` fills the provided index for one shard;
-  // `scratch` (optional) supplies per-shard index storage and the verdict
-  // buffer, otherwise locals are used.
-  std::vector<ReplicaStream> validate_with_index(
-      const NonLoopedIndex& index, std::vector<ReplicaStream> streams,
-      ValidationStats* stats) const;
-  std::vector<ReplicaStream> validate_sharded_impl(
-      const std::function<void(unsigned, NonLoopedIndex&)>& build_shard,
-      std::vector<ReplicaStream> streams, util::ThreadPool& pool,
-      unsigned num_shards, ValidatorScratch* scratch,
-      ValidationStats* stats) const;
-
   ValidatorConfig config_;
-  telemetry::Registry* registry_ = nullptr;
   telemetry::DecisionLog* journal_ = nullptr;
   telemetry::Counter* m_accepted_ = nullptr;
   telemetry::Counter* m_rejected_small_ = nullptr;

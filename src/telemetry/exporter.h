@@ -6,7 +6,7 @@
 // twice (e.g. printed and written to a file) consistently.
 //
 // PeriodicExporter has no thread of its own: the owner pumps it with a
-// monotonic clock — packet timestamps in live_monitor, the simulator's
+// monotonic clock — packet timestamps in rloopd, the simulator's
 // event-queue time in a simulation — so periodic output is deterministic
 // under simulated time and needs no synchronization.
 #pragma once

@@ -12,10 +12,10 @@
 // every input, including remainder lanes and unaligned starts — which
 // tests/test_simd.cc checks differentially on synthetic and fuzz-seeded
 // columns, and which lets the detection pipeline's differential harness
-// (serial vs parallel vs detect_reference) double as the SIMD correctness
-// gate. Building with -DRLOOP_NO_SIMD=ON compiles the dispatchers to the
-// scalar bodies unconditionally; CI runs the fast tier in that mode so the
-// fallback cannot rot.
+// (serial vs parallel vs the test-side reference engine) double as the SIMD
+// correctness gate. Building with -DRLOOP_NO_SIMD=ON compiles the
+// dispatchers to the scalar bodies unconditionally; CI runs the fast tier in
+// that mode so the fallback cannot rot.
 //
 // Dispatch happens per call on a cached CPUID probe (one predictable branch);
 // kernels are only ever invoked on whole columns, so dispatch cost is noise.

@@ -30,6 +30,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -76,10 +77,40 @@ std::string slurp(const fs::path& path) {
   return out.str();
 }
 
+// Sequence number of a published checkpoint ("ckpt-N.rlck"), or nullopt.
+// Exact-name match only: util/fileio.h writes "ckpt-N.rlck.tmp.<pid>" before
+// publishing it by rename, and a SIGKILLed incarnation can leave one behind;
+// restore never reads those.
+std::optional<std::uint64_t> checkpoint_seq(const fs::path& path) {
+  const std::string name = path.filename().string();
+  unsigned long long seq = 0;
+  if (std::sscanf(name.c_str(), "ckpt-%llu.rlck", &seq) == 1 &&
+      name == "ckpt-" + std::to_string(seq) + ".rlck") {
+    return seq;
+  }
+  return std::nullopt;
+}
+
+// Highest published checkpoint seq in `dir`, or nullopt when there is none.
+std::optional<std::uint64_t> newest_seq(const fs::path& dir) {
+  std::optional<std::uint64_t> best;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const auto seq = checkpoint_seq(entry.path());
+    if (seq && (!best || *seq > *best)) best = seq;
+  }
+  return best;
+}
+
+fs::path newest_checkpoint(const fs::path& dir) {
+  const auto seq = newest_seq(dir);
+  CHECK(seq.has_value(), "no checkpoint files in " + dir.string());
+  return dir / ("ckpt-" + std::to_string(*seq) + ".rlck");
+}
+
 // Fork/exec one rloopd incarnation. `failpoint_spec` lands in
 // RLOOP_FAILPOINTS_SPEC ("" clears it); when `manual_kill_dir` is non-empty
-// the parent SIGKILLs the child once a checkpoint file appears there (the
-// failpoints-compiled-out fallback).
+// the parent SIGKILLs the child once it has published a checkpoint there
+// (the failpoints-compiled-out fallback).
 RunResult run_rloopd(const std::string& binary,
                      const std::vector<std::string>& args,
                      const std::string& failpoint_spec,
@@ -108,18 +139,18 @@ RunResult run_rloopd(const std::string& binary,
     std::_Exit(127);
   }
   if (!manual_kill_dir.empty()) {
-    // Wait for the first checkpoint of THIS incarnation, then a little more
-    // progress, then kill. Bounded so a wedged child cannot hang the soak.
-    const std::size_t before =
-        std::distance(fs::directory_iterator(manual_kill_dir), {});
+    // Wait for the first checkpoint THIS incarnation publishes — a seq above
+    // the newest at launch, which also proves it finished start-up and
+    // restore — then a little more progress, then kill. Bounded so a wedged
+    // child cannot hang the soak.
+    const auto before = newest_seq(manual_kill_dir);
     for (int i = 0; i < 3000; ++i) {
       int status = 0;
       if (::waitpid(pid, &status, WNOHANG) == pid) {
         return {status, slurp(stderr_path)};  // finished before the kill
       }
-      if (std::distance(fs::directory_iterator(manual_kill_dir), {}) >
-              before ||
-          (before > 0 && i > 50)) {
+      const auto now = newest_seq(manual_kill_dir);
+      if (now && (!before || *now > *before)) {
         std::this_thread::sleep_for(std::chrono::milliseconds(30));
         ::kill(pid, SIGKILL);
         break;
@@ -162,24 +193,6 @@ rloop::core::LoopAlert parse_alert_line(const std::string& line) {
   alert.ttl_delta = ttl_delta;
   alert.replicas = replicas;
   return alert;
-}
-
-fs::path newest_checkpoint(const fs::path& dir) {
-  fs::path best;
-  std::uint64_t best_seq = 0;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    unsigned long long seq = 0;
-    // Exact-name match only: a SIGKILLed incarnation can leave a
-    // "ckpt-N.rlck.tmp.<pid>" behind, which restore never reads.
-    if (std::sscanf(name.c_str(), "ckpt-%llu.rlck", &seq) == 1 &&
-        name == "ckpt-" + std::to_string(seq) + ".rlck" && seq >= best_seq) {
-      best_seq = seq;
-      best = entry.path();
-    }
-  }
-  CHECK(!best.empty(), "no checkpoint files in " + dir.string());
-  return best;
 }
 
 }  // namespace

@@ -3,10 +3,10 @@
 // The flat-table/arena detector (ReplicaDetector::detect), the SoA
 // RecordStore, and the flat NonLoopedIndex are all optimizations with an
 // exact-behavior contract: field-identical output to the straightforward
-// structures they replaced. detect_reference() keeps the pre-overhaul engine
-// verbatim as the oracle; these tests diff the two on synthetic and fuzzed
-// traces, serially and across shard counts, and pin the allocation win the
-// arena + flat table exist for.
+// structures they replaced. reference_detector.h keeps the pre-overhaul
+// engine as the oracle; these tests diff the two on synthetic and fuzzed
+// traces, serially and through the sharded pipeline, and pin the allocation
+// win the arena + flat table exist for.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/loop_detector.h"
-#include "core/parallel.h"
 #include "core/pipeline.h"
 #include "core/prefix_index.h"
 #include "core/record.h"
@@ -27,10 +26,10 @@
 #include "core/replica_key.h"
 #include "net/packet.h"
 #include "net/trace.h"
+#include "reference_detector.h"
 #include "result_equality.h"
 #include "trace_builder.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace {
 // Global allocation counter for the arena/flat-map win assertion. Relaxed
@@ -84,6 +83,7 @@ namespace {
 
 using rloop::testing::TraceBuilder;
 using rloop::testing::expect_equal_stream_vectors;
+using rloop::testing::reference_detect;
 
 // A trace mixing every branch of the per-key state machine: clean loops,
 // equal-TTL duplicates, TTL increases, timeout splits, malformed records,
@@ -171,9 +171,9 @@ TEST(MemoryLayout, FlatDetectorMatchesReferenceOnSyntheticTrace) {
   const net::Trace& trace = synthetic_trace(builder);
   const auto records = parse_trace(trace);
 
-  const ReplicaDetector detector;
-  const auto reference = detector.detect_reference(trace, records);
-  const auto flat = detector.detect(trace, records);
+  const auto reference = reference_detect(trace, records);
+  const auto flat =
+      ReplicaDetector().detect(RecordStore::build(trace, records));
   ASSERT_GT(reference.size(), 4u) << "fixture must exercise the detector";
   expect_equal_stream_vectors(reference, flat, "streams");
 }
@@ -185,27 +185,29 @@ TEST(MemoryLayout, FlatDetectorMatchesReferenceOnFuzzedTraces) {
     const net::Trace& trace = fuzz_trace(builder, seed);
     const auto records = parse_trace(trace);
 
-    const ReplicaDetector detector;
-    expect_equal_stream_vectors(detector.detect_reference(trace, records),
-                                detector.detect(trace, records), "streams");
+    expect_equal_stream_vectors(
+        reference_detect(trace, records),
+        ReplicaDetector().detect(RecordStore::build(trace, records)),
+        "streams");
   }
 }
 
+// The sharded detect that ships is the pipeline's (core/pipeline.cc): diff
+// its raw streams against the oracle across shard counts.
 TEST(MemoryLayout, ShardedFlatDetectorMatchesReferenceAcrossShardCounts) {
-  util::ThreadPool pool(4);
   for (const std::uint64_t seed : {17u, 101u}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     TraceBuilder builder;
     const net::Trace& trace = fuzz_trace(builder, seed);
-    const auto records = parse_trace(trace);
-
-    const ReplicaDetector detector;
-    const auto reference = detector.detect_reference(trace, records);
-    for (const unsigned shards : {2u, 4u, 8u}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards));
-      expect_equal_stream_vectors(
-          reference, detector.detect_sharded(trace, records, pool, shards),
-          "streams");
+    const auto reference = reference_detect(trace, parse_trace(trace));
+    for (const unsigned bits : {1u, 2u, 3u}) {
+      SCOPED_TRACE("shard_bits=" + std::to_string(bits));
+      LoopDetectorConfig config;
+      config.parallel.num_threads = 4;
+      config.parallel.shard_bits = bits;
+      expect_equal_stream_vectors(reference,
+                                  detect_loops(trace, config).raw_streams,
+                                  "streams");
     }
   }
 }
@@ -232,24 +234,6 @@ TEST(MemoryLayout, RecordStoreColumnsMatchParsedRecords) {
         << i;
     EXPECT_EQ(store.key_hash(i), replica_key_hash(trace[i].bytes())) << i;
     EXPECT_EQ(store.bytes(i).size(), trace[i].bytes().size()) << i;
-  }
-}
-
-TEST(MemoryLayout, RecordStoreParallelBuildIsBytewiseIdentical) {
-  TraceBuilder builder;
-  const net::Trace& trace = fuzz_trace(builder, 29);
-  const auto records = parse_trace(trace);
-  const auto serial = RecordStore::build(trace, records);
-
-  util::ThreadPool pool(4);
-  for (const std::size_t chunk : {std::size_t{0}, std::size_t{1},
-                                  std::size_t{7}, std::size_t{1000}}) {
-    SCOPED_TRACE("chunk=" + std::to_string(chunk));
-    const auto parallel = RecordStore::build_parallel(trace, records, pool,
-                                                      chunk);
-    ASSERT_EQ(parallel.size(), serial.size());
-    EXPECT_EQ(parallel.key_hash_column(), serial.key_hash_column());
-    EXPECT_EQ(parallel.ts_column(), serial.ts_column());
   }
 }
 
@@ -294,7 +278,7 @@ TEST(MemoryLayout, FlatIndexMatchesHashMapOracle) {
     member[i] = rng.bernoulli(0.3);
   }
 
-  const NonLoopedIndex index(records, member);
+  const NonLoopedIndex index(RecordStore::build(trace, records), member);
   const MapIndexOracle oracle(records, member);
   EXPECT_EQ(index.prefix_count(), oracle.prefix_count());
 
@@ -317,43 +301,6 @@ TEST(MemoryLayout, FlatIndexMatchesHashMapOracle) {
   }
 }
 
-TEST(MemoryLayout, ShardedFlatIndexAnswersOwnPrefixLikeGlobal) {
-  TraceBuilder builder;
-  const net::Trace& trace = fuzz_trace(builder, 91);
-  const auto records = parse_trace(trace);
-  const std::vector<bool> member(records.size(), false);
-  const auto store = RecordStore::build(trace, records);
-
-  const NonLoopedIndex global(records, member);
-  const NonLoopedIndex global_store(store, member);
-  EXPECT_EQ(global_store.entry_count(), global.entry_count());
-
-  constexpr unsigned kShards = 4;
-  std::vector<NonLoopedIndex> shards;
-  std::vector<NonLoopedIndex> shards_store;
-  for (unsigned s = 0; s < kShards; ++s) {
-    shards.emplace_back(records, member, s, kShards);
-    shards_store.emplace_back(store, member, s, kShards);
-  }
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    if (!records[i].ok) continue;
-    const auto& p = records[i].dst24;
-    const unsigned s = shard_of_prefix(p, kShards);
-    const net::TimeNs ts = records[i].ts;
-    const auto want = global.first_in(p, ts - net::kSecond, ts + net::kSecond);
-    EXPECT_EQ(shards[s].first_in(p, ts - net::kSecond, ts + net::kSecond),
-              want)
-        << i;
-    EXPECT_EQ(
-        shards_store[s].first_in(p, ts - net::kSecond, ts + net::kSecond),
-        want)
-        << i;
-    EXPECT_EQ(global_store.first_in(p, ts - net::kSecond, ts + net::kSecond),
-              want)
-        << i;
-  }
-}
-
 TEST(MemoryLayout, FlatEngineAllocatesFarLessThanReference) {
   TraceBuilder builder;
   const net::Trace& trace = fuzz_trace(builder, 201);
@@ -362,7 +309,7 @@ TEST(MemoryLayout, FlatEngineAllocatesFarLessThanReference) {
   const ReplicaDetector detector;
 
   // Warm both paths once so one-time setup does not skew the counts.
-  (void)detector.detect_reference(trace, records);
+  (void)reference_detect(trace, records);
   (void)detector.detect(store);
 
   const auto count = [&](auto&& fn) {
@@ -371,7 +318,7 @@ TEST(MemoryLayout, FlatEngineAllocatesFarLessThanReference) {
     return g_alloc_count.load(std::memory_order_relaxed) - before;
   };
   const auto ref_allocs =
-      count([&] { (void)detector.detect_reference(trace, records); });
+      count([&] { (void)reference_detect(trace, records); });
   const auto flat_allocs = count([&] { (void)detector.detect(store); });
 
   // The arena + flat table exist to collapse the per-key node and per-stream

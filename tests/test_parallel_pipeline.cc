@@ -243,8 +243,8 @@ TEST(ParallelPipeline, PerShardTelemetryRegisteredAndHarmless) {
     if (m.name == "rloop_pipeline_stage_busy_ns_total") ++busy_counters;
     if (m.name == "rloop_pipeline_stage_idle_ns_total") ++idle_counters;
   }
-  // 4 shards x 3 sharded stages (detect, validate, merge).
-  EXPECT_EQ(shard_histograms, 12u);
+  // 4 shards x 1 sharded stage (detect; validate and merge run serially).
+  EXPECT_EQ(shard_histograms, 4u);
   // Staged-dataflow occupancy: busy/idle per stage (ingest driver, detect
   // workers), surfaced through the existing registry — no new endpoint.
   EXPECT_EQ(busy_counters, 2u);

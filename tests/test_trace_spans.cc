@@ -166,8 +166,11 @@ TEST(PipelineSpans, ParallelRunEmitsPerShardTaskSpans) {
   const auto spans = sink.snapshot();
   EXPECT_EQ(count_named(spans, "detect_loops"), 1u);
   EXPECT_EQ(count_named(spans, "detect_shard"), 4u);
-  EXPECT_EQ(count_named(spans, "validate_shard"), 4u);
-  EXPECT_EQ(count_named(spans, "merge_shard"), 4u);
+  // Only detect is sharded: validate and merge run as single stage spans.
+  EXPECT_EQ(count_named(spans, "validate_shard"), 0u);
+  EXPECT_EQ(count_named(spans, "merge_shard"), 0u);
+  EXPECT_EQ(count_named(spans, "validate"), 1u);
+  EXPECT_EQ(count_named(spans, "merge"), 1u);
   EXPECT_GE(count_named(spans, "parse_chunk"), 1u);
   EXPECT_GE(count_named(spans, "hash_chunk"), 1u);
   // Worker-side spans are top level on their own threads (depth 0).

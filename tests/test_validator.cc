@@ -20,10 +20,11 @@ struct ValidationRun {
 };
 
 ValidationRun validate(TraceBuilder& builder, ValidatorConfig cfg = {}) {
-  const auto records = parse_trace(builder.trace());
-  const auto raw = ReplicaDetector(ReplicaDetectorConfig{}).detect(builder.trace(), records);
+  const auto store =
+      RecordStore::build(builder.trace(), parse_trace(builder.trace()));
+  const auto raw = ReplicaDetector(ReplicaDetectorConfig{}).detect(store);
   ValidationRun run;
-  run.valid = StreamValidator(cfg).validate(records, raw, &run.stats);
+  run.valid = StreamValidator(cfg).validate(store, raw, &run.stats);
   return run;
 }
 
