@@ -1,24 +1,52 @@
-// The flat replica-detection engine, shared by the serial
-// ReplicaDetector::detect and the staged dataflow (core/pipeline.cc), which
-// keeps one warm state per shard across runs.
+// The replica-detection engine, shared by the serial ReplicaDetector::detect
+// and the staged dataflow (core/pipeline.cc), which keeps one warm state per
+// shard across runs.
 //
-// Open streams live in one FlatMap keyed by ReplicaKey, replica lists in an
-// arena. One candidate stream per first-seen header means millions of tiny
-// allocations per trace on a general-purpose heap; here a stream is a
-// bump-allocated node with two inline replicas (the overwhelming majority of
-// candidates never grow past one), overflowing into arena-chunked spans, all
-// reclaimed wholesale when the state is destroyed — or rewound in place by
-// reset(), which is what lets a persistent pipeline workspace run the whole
-// detect stage without heap traffic once warm.
+// Nearly every record is a first sighting that never meets a replica (0.8 %
+// of backbone2's records are replicas), so the open set has two tiers:
+//
+//  - Tier 1, first sightings: a compact open-addressing table of
+//    (key hash, ts, record index, ttl), 24 bytes a slot, keyed by the
+//    store's key_hash column. A hash hit is confirmed byte-exact against
+//    the trace's captured bytes (same_replica_bytes), so a collision never
+//    merges two packets and no ReplicaKey is built per record. Sightings
+//    expire by time generation: one table per stream_timeout-wide slice of
+//    time, two in rotation. When the current record's generation advances
+//    by one the older table is cleared in place; a gap of two or more
+//    clears both. A sighting from two generations back is necessarily past
+//    the timeout, and liveness is still checked exactly (now - ts >
+//    stream_timeout), so rotation timing changes memory and the expired
+//    counter, never the output. This relies on the Trace guarantee of
+//    non-decreasing timestamps.
+//  - Tier 2, promoted keys: a key's first accepted replica moves every live
+//    first sighting of that key, newest first, into a FlatMap<ReplicaKey,
+//    chain> of arena-allocated FlatOpenStream nodes — the same per-key scan
+//    order as the oracle's vector. While the key stays there its later
+//    first sightings join the chain. Lookups use a masked-bytes predicate.
+//    Only this small tier is swept every 64 Ki records.
+//
+// Detect memory is therefore bounded by arrival rate x stream_timeout for
+// first sightings and by the replica population for streams, not by trace
+// length. reset() rewinds the arena and clears both tiers in place, which is
+// what lets a persistent pipeline workspace run detect without heap traffic
+// once warm. Against the single-tier table this replaced (one FlatMap slot
+// holding a full ReplicaKey plus one arena stream per first sighting),
+// ReplicaDetector::detect on the benchmark's seed-1 pcaps, Release build,
+// 4-vCPU Xeon container, medians of three interleaved sets of five runs:
+// backbone2 325-474 -> 69-130 ns/record, loop_storm 248-315 -> 85-117; peak
+// RSS of a read+parse+columnize+detect process 414 -> 259 MB (backbone2)
+// and 276 -> 187 MB (loop_storm).
 //
 // Field-identical streams to the straightforward unordered_map engine kept
-// as the test oracle (tests/reference_detector.h): expiry is determined
-// purely by last_ts against the current record's timestamp, and both engines
-// hold the same open set at every record by induction.
+// as the test oracle (tests/reference_detector.h): at every record both
+// engines hold the same live open streams per key, in the same order.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -128,11 +156,101 @@ static_assert(std::is_trivially_destructible_v<FlatOpenStream>,
 static_assert(std::is_trivially_destructible_v<ReplicaChunk>,
               "arena-allocated");
 
-// The per-record state machine on the flat layout. Default-constructible and
-// rebindable so a pipeline workspace can keep a pool of warm states: bind()
-// points it at the current run's config/telemetry, reset() rewinds it for
-// the next run while keeping every backing allocation.
+// Tier 1: one generation's first sightings. Linear probing over a
+// power-of-two slot array at <= 1/2 load, hashed through fmix64 like
+// FlatMap. Slots are never erased one at a time — promotion marks a slot
+// taken, and the whole table is cleared when its generation ages out — so
+// a probe chain only grows, and an unsuccessful probe ends at the very slot
+// the next insert fills.
+class SightingTable {
+ public:
+  struct Slot {
+    std::uint64_t hash = 0;
+    net::TimeNs ts = 0;
+    std::uint32_t index = 0;
+    std::uint8_t ttl = 0;
+    std::uint8_t state = kEmpty;
+  };
+  static constexpr std::uint8_t kEmpty = 0;
+  static constexpr std::uint8_t kLive = 1;
+  static constexpr std::uint8_t kTaken = 2;  // promoted into tier 2
+
+  // Makes room for one insert; call it before probe() so the vacancy that
+  // probe() returns is the slot place() may fill.
+  void reserve_one() {
+    if ((used_ + 1) * 2 > slots_.size()) grow();
+  }
+
+  // Calls fn(slot) for every live slot whose hash equals `hash`, in probe
+  // order, and returns the empty slot that ends the chain (nullptr for a
+  // table with no slots).
+  template <class Fn>
+  Slot* probe(std::uint64_t hash, Fn&& fn) {
+    if (slots_.empty()) return nullptr;
+    for (std::size_t i = home(hash);; i = (i + 1) & mask_) {
+      Slot& slot = slots_[i];
+      if (slot.state == kEmpty) return &slot;
+      if (slot.hash == hash && slot.state == kLive) fn(slot);
+    }
+  }
+
+  void place(Slot* vacancy, const Slot& sighting) {
+    *vacancy = sighting;
+    ++used_;
+  }
+
+  // Empties the table and keeps its capacity; returns how many sightings
+  // were still untaken (they close unmatched, i.e. expire).
+  std::uint64_t clear() {
+    if (used_ == 0) return 0;
+    std::uint64_t untaken = 0;
+    for (Slot& slot : slots_) {
+      untaken += slot.state == kLive ? 1 : 0;
+      slot = Slot{};
+    }
+    used_ = 0;
+    return untaken;
+  }
+
+  std::size_t bytes_reserved() const {
+    return slots_.capacity() * sizeof(Slot);
+  }
+
+ private:
+  static constexpr std::size_t kMinSlots = 1024;
+
+  std::size_t home(std::uint64_t hash) const {
+    return static_cast<std::size_t>(util::detail::fmix64(hash)) & mask_;
+  }
+
+  // Doubles the slot array, dropping taken slots. Rehashing may reorder
+  // same-hash sightings, so callers order hits by record index, not by
+  // probe order.
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? kMinSlots : old.size() * 2, Slot{});
+    mask_ = slots_.size() - 1;
+    used_ = 0;
+    for (const Slot& slot : old) {
+      if (slot.state != kLive) continue;
+      place(probe(slot.hash, [](Slot&) {}), slot);
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+  std::size_t used_ = 0;  // live and taken slots
+};
+
+static_assert(sizeof(SightingTable::Slot) <= 24, "tier-1 slot budget");
+
+// The per-record state machine. Default-constructible and rebindable so a
+// pipeline workspace can keep a pool of warm states: bind() points it at
+// the current run's config/telemetry, reset() rewinds it for the next run
+// while keeping every backing allocation.
 struct FlatDetectState {
+  using Sighting = SightingTable::Slot;
+
   FlatDetectState() = default;
   FlatDetectState(const ReplicaDetectorConfig& cfg, telemetry::Histogram* sp,
                   telemetry::DecisionLog* jl) {
@@ -146,15 +264,26 @@ struct FlatDetectState {
     journal = jl;
   }
 
-  // Rewinds for the next run; the arena, the open table and the closed
-  // vector all keep their capacity (arena chunks are consolidated once,
-  // then reused — see Arena::reset()).
+  // Rewinds for the next run; the arena, both tiers and the closed vector
+  // all keep their capacity (arena chunks are consolidated once, then
+  // reused — see Arena::reset()).
   void reset() {
     arena.reset();
-    open.clear();
+    streams.clear();
+    sightings[0].clear();
+    sightings[1].clear();
     closed.clear();
     counts = LocalCounts{};
     since_sweep = 0;
+    generation = kNoGeneration;
+    next_generation_ts = kNoGeneration;
+  }
+
+  // Heap bytes held by both tiers and the arena: the bounded-memory tests
+  // pin that this follows arrival rate x stream_timeout, not trace length.
+  std::size_t bytes_reserved() const {
+    return arena.bytes_reserved() + streams.bytes_reserved() +
+           sightings[0].bytes_reserved() + sightings[1].bytes_reserved();
   }
 
   const ReplicaDetectorConfig* config = nullptr;
@@ -162,16 +291,24 @@ struct FlatDetectState {
   telemetry::DecisionLog* journal = nullptr;
 
   util::Arena arena;
-  util::FlatMap<ReplicaKey, FlatOpenStream*, ReplicaKeyHash> open;
+  // Tier 2: promoted keys, each with its chain of open streams.
+  util::FlatMap<ReplicaKey, FlatOpenStream*, ReplicaKeyHash> streams;
+  // Tier 1: sightings[current] holds this generation's first sightings,
+  // sightings[current ^ 1] the previous generation's.
+  SightingTable sightings[2];
+  unsigned current = 0;
+  static constexpr net::TimeNs kNoGeneration =
+      std::numeric_limits<net::TimeNs>::min();
+  net::TimeNs generation = kNoGeneration;
+  net::TimeNs next_generation_ts = kNoGeneration;
+  std::vector<Sighting*> hits;  // scratch: live tier-1 hits of one record
   std::vector<ReplicaStream> closed;
   LocalCounts counts;
 
-  // Periodic sweep keeps the open table bounded by the packet arrival rate
-  // times the stream timeout rather than by the trace length: most entries
-  // are ordinary packets that never produce a replica. Sweep timing affects
-  // only memory and the expired counter, never which streams are emitted: a
-  // timed-out stream can no longer be extended (the per-key expiry check
-  // below closes it before any extension attempt).
+  // Periodic sweep keeps tier 2 bounded by the replica population: a
+  // timed-out chain can no longer be extended (the per-key expiry check
+  // below closes it first), so sweep timing affects only memory and the
+  // expired counter, never which streams are emitted.
   static constexpr std::uint32_t kSweepInterval = 1 << 16;
   std::uint32_t since_sweep = 0;
 
@@ -216,92 +353,201 @@ struct FlatDetectState {
     return kept;
   }
 
-  // `key` must be make_replica_key over record i's captured bytes; the
-  // caller supplies it built from the store's precomputed hash column, so
-  // FNV runs exactly once per record on every path.
-  void process(const RecordStore& store, std::size_t i,
-               const ReplicaKey& key) {
-    ++counts.records;
+  // Rotates tier 1 so sightings[current] is ts's generation. Generations
+  // are stream_timeout wide (at least 1 ns), floored so negative
+  // timestamps rotate too.
+  void advance_generation(net::TimeNs ts) {
+    const net::TimeNs width = std::max<net::TimeNs>(config->stream_timeout, 1);
+    net::TimeNs g = ts / width;
+    if (ts % width < 0) --g;
+    if (g == generation) return;
+    if (generation != kNoGeneration && g == generation + 1) {
+      counts.expired += sightings[current ^ 1].clear();
+      current ^= 1;
+    } else {
+      counts.expired += sightings[0].clear() + sightings[1].clear();
+    }
+    generation = g;
+    next_generation_ts = g < std::numeric_limits<net::TimeNs>::max() / width
+                             ? (g + 1) * width
+                             : std::numeric_limits<net::TimeNs>::max();
+  }
+
+  FlatOpenStream* open_stream(const RecordStore& store, std::uint32_t index,
+                              net::TimeNs ts, std::uint8_t ttl) {
+    auto* os = arena.create<FlatOpenStream>();
+    os->dst = store.dst(index);
+    os->dst24 = store.dst24(index);
+    os->inline_replicas[0] = {index, ts, ttl};
+    os->count = 1;
+    os->last_ttl = ttl;
+    os->last_ts = ts;
+    return os;
+  }
+
+  // Whether an observation with `ttl` extends a stream whose last replica
+  // had `last_ttl`: a loop-sized TTL drop, or an equal-TTL link-layer
+  // duplicate when those are kept.
+  bool extends(std::uint8_t last_ttl, std::uint8_t ttl) const {
+    const int delta = static_cast<int>(last_ttl) - static_cast<int>(ttl);
+    return delta >= config->min_ttl_delta ||
+           (config->keep_link_layer_duplicates && delta == 0);
+  }
+
+  void extend(FlatOpenStream* os, const RecordStore& store, std::size_t i) {
     const net::TimeNs ts = store.ts(i);
     const std::uint8_t ttl = store.ttl(i);
     const auto index = static_cast<std::uint32_t>(i);
+    const int delta = static_cast<int>(os->last_ttl) - static_cast<int>(ttl);
+    ++counts.replicas;
+    telemetry::observe(spacing, static_cast<double>(ts - os->last_ts));
+    os->push(arena, {index, ts, ttl});
+    os->last_ttl = ttl;  // a duplicate (delta 0) leaves it unchanged anyway
+    os->last_ts = ts;
+    telemetry::record(journal,
+                      {.kind = telemetry::DecisionKind::replica_accepted,
+                       .dst24 = store.dst24(i),
+                       .ts = ts,
+                       .record_index = index,
+                       .detail = delta,
+                       .detail2 = static_cast<std::int64_t>(os->count)});
+  }
 
+  // A live candidate stream existed for this exact header, but the TTL
+  // delta disqualified the observation — the one per-packet negative
+  // decision worth journaling (first-seen packets are non-decisions).
+  // `newest_ttl` is the most recent live stream's last TTL.
+  void reject(const RecordStore& store, std::size_t i,
+              std::uint8_t newest_ttl) {
+    telemetry::record(
+        journal,
+        {.kind = telemetry::DecisionKind::replica_rejected,
+         .dst24 = store.dst24(i),
+         .ts = store.ts(i),
+         .record_index = static_cast<std::uint32_t>(i),
+         .detail = static_cast<int>(newest_ttl) -
+                   static_cast<int>(store.ttl(i))});
+  }
+
+  // Record i must have parsed (store.ok(i)); its key hash comes from the
+  // store's column, so FNV runs exactly once per record on every path.
+  void process(const RecordStore& store, std::size_t i) {
+    ++counts.records;
+    const net::TimeNs ts = store.ts(i);
+    const std::uint64_t hash = store.key_hash(i);
+    const std::span<const std::byte> bytes = store.bytes(i);
+
+    if (ts >= next_generation_ts) advance_generation(ts);
     if (++since_sweep >= kSweepInterval) {
       since_sweep = 0;
-      open.erase_if([&](const ReplicaKey& k, FlatOpenStream*& head) {
+      streams.erase_if([&](const ReplicaKey& k, FlatOpenStream*& head) {
         head = expire_chain(k, head, ts);
         return head == nullptr;
       });
     }
 
-    const auto matches = [&](const ReplicaKey& k) { return k == key; };
-    FlatOpenStream** entry = open.find_hashed(key.hash, matches);
-    if (entry != nullptr) {
-      // Expire stale streams for this key first.
-      *entry = expire_chain(key, *entry, ts);
+    const ReplicaKey* key = nullptr;
+    const auto same_key = [&](const ReplicaKey& k) {
+      if (!same_replica_bytes({k.normalized.data(), k.len}, bytes)) {
+        return false;
+      }
+      key = &k;
+      return true;
+    };
+    if (FlatOpenStream** chain = streams.find_hashed(hash, same_key)) {
+      process_promoted(store, i, *key, *chain);
+      return;
+    }
 
-      // Try to extend the most recent compatible stream (newest first).
-      for (FlatOpenStream* os = *entry; os != nullptr; os = os->older) {
-        const int delta =
-            static_cast<int>(os->last_ttl) - static_cast<int>(ttl);
-        const bool looped = delta >= config->min_ttl_delta;
-        const bool duplicate =
-            config->keep_link_layer_duplicates && delta == 0;
-        if (looped || duplicate) {
-          ++counts.replicas;
-          telemetry::observe(spacing, static_cast<double>(ts - os->last_ts));
-          os->push(arena, {index, ts, ttl});
-          if (looped) os->last_ttl = ttl;
-          os->last_ts = ts;
-          telemetry::record(
-              journal, {.kind = telemetry::DecisionKind::replica_accepted,
-                        .dst24 = store.dst24(i),
-                        .ts = ts,
-                        .record_index = index,
-                        .detail = delta,
-                        .detail2 = static_cast<std::int64_t>(os->count)});
+    // Tier 1. Both tables are probed; the current one's chain end is where
+    // this record lands if it opens a stream.
+    SightingTable& now_table = sightings[current];
+    now_table.reserve_one();
+    hits.clear();
+    const auto collect = [&](Sighting& s) {
+      if (ts - s.ts <= config->stream_timeout &&
+          same_replica_bytes(store.bytes(s.index), bytes)) {
+        hits.push_back(&s);
+      }
+    };
+    sightings[current ^ 1].probe(hash, collect);
+    Sighting* vacancy = now_table.probe(hash, collect);
+
+    if (!hits.empty()) {
+      if (hits.size() > 1) {
+        std::sort(hits.begin(), hits.end(),
+                  [](const Sighting* a, const Sighting* b) {
+                    return a->index < b->index;
+                  });
+      }
+      // Newest first, as the oracle scans its per-key vector.
+      for (auto it = hits.rbegin(); it != hits.rend(); ++it) {
+        if (extends((*it)->ttl, store.ttl(i))) {
+          promote(store, i, *it, same_key);
           return;
         }
       }
+      reject(store, i, hits.back()->ttl);
+    }
+    ++counts.opened;
+    now_table.place(vacancy, {.hash = hash,
+                              .ts = ts,
+                              .index = static_cast<std::uint32_t>(i),
+                              .ttl = store.ttl(i),
+                              .state = SightingTable::kLive});
+  }
 
-      // A live candidate stream existed for this exact header, but the TTL
-      // delta disqualified the observation — the one per-packet negative
-      // decision worth journaling (first-seen packets are non-decisions).
-      if (*entry != nullptr) {
-        telemetry::record(
-            journal, {.kind = telemetry::DecisionKind::replica_rejected,
-                      .dst24 = store.dst24(i),
-                      .ts = ts,
-                      .record_index = index,
-                      .detail = static_cast<int>((*entry)->last_ttl) -
-                                static_cast<int>(ttl)});
+  // Tier 2: the key already has a chain of open streams.
+  void process_promoted(const RecordStore& store, std::size_t i,
+                        const ReplicaKey& key, FlatOpenStream*& chain) {
+    const net::TimeNs ts = store.ts(i);
+    const std::uint8_t ttl = store.ttl(i);
+    chain = expire_chain(key, chain, ts);
+    // Try to extend the most recent compatible stream (newest first).
+    for (FlatOpenStream* os = chain; os != nullptr; os = os->older) {
+      if (extends(os->last_ttl, ttl)) {
+        extend(os, store, i);
+        return;
       }
     }
-
-    // Start a new stream headed by this packet.
+    if (chain != nullptr) reject(store, i, chain->last_ttl);
     ++counts.opened;
-    auto* os = arena.create<FlatOpenStream>();
-    os->dst = store.dst(i);
-    os->dst24 = store.dst24(i);
-    os->inline_replicas[0] = {index, ts, ttl};
-    os->count = 1;
-    os->last_ttl = ttl;
-    os->last_ts = ts;
-    if (entry != nullptr) {
-      os->older = *entry;
-      *entry = os;  // no rehash since find_hashed: the slot pointer is valid
-    } else {
-      open.emplace_hashed(key.hash, matches, key, os);
+    FlatOpenStream* os =
+        open_stream(store, static_cast<std::uint32_t>(i), ts, ttl);
+    os->older = chain;
+    chain = os;  // no rehash since find_hashed: the slot is still valid
+  }
+
+  // Record i is the first accepted replica of its key: every live first
+  // sighting in `hits` (oldest first) becomes a stream in one new chain,
+  // newest first, and `matched` is extended by record i.
+  template <class SameKey>
+  void promote(const RecordStore& store, std::size_t i, Sighting* matched,
+               const SameKey& same_key) {
+    FlatOpenStream* head = nullptr;
+    FlatOpenStream** tail = &head;
+    FlatOpenStream* extended = nullptr;
+    for (auto it = hits.rbegin(); it != hits.rend(); ++it) {
+      Sighting& s = **it;
+      FlatOpenStream* os = open_stream(store, s.index, s.ts, s.ttl);
+      if (&s == matched) extended = os;
+      s.state = SightingTable::kTaken;
+      *tail = os;
+      tail = &os->older;
     }
+    extend(extended, store, i);
+    const std::uint64_t hash = store.key_hash(i);
+    streams.emplace_hashed(hash, same_key,
+                           make_replica_key(store.bytes(i), hash), head);
   }
 
   std::vector<ReplicaStream> finish() {
-    open.for_each([&](const ReplicaKey& key, FlatOpenStream*& head) {
+    streams.for_each([&](const ReplicaKey& key, FlatOpenStream*& head) {
       for (const FlatOpenStream* os = head; os != nullptr; os = os->older) {
         close_stream(key, os);
       }
     });
-    open.clear();
+    streams.clear();
     sort_streams(closed);
     return std::move(closed);
   }

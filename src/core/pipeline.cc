@@ -252,8 +252,7 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
             ws.store.set_row(idx, rec, h);
             result.records[idx] = rec;
             if (rec.ok) {
-              ws.states[ws.shard_ids[idx]]->process(
-                  ws.store, idx, make_replica_key(ws.store.bytes(idx), h));
+              ws.states[ws.shard_ids[idx]]->process(ws.store, idx);
             }
           }
           lane.free.try_push(b);  // never full: see Lane

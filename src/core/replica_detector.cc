@@ -83,7 +83,7 @@ ReplicaDetector::ReplicaDetector(ReplicaDetectorConfig config,
           telemetry::spacing_bounds_ns(), {},
           "Spacing between successive replicas of one stream")) {}
 
-// The flat engine itself (FlatDetectState and its helpers) lives in
+// The two-tier engine itself (FlatDetectState and its helpers) lives in
 // core/detect_state.h: the staged dataflow in core/pipeline.cc keeps one
 // warm state per shard across runs, so it needs the type, not just the
 // detect() entry point below.
@@ -94,8 +94,7 @@ std::vector<ReplicaStream> ReplicaDetector::detect(
   const std::size_t n = store.size();
   for (std::size_t i = 0; i < n; ++i) {
     if (!store.ok(i)) continue;
-    state.process(store, i,
-                  make_replica_key(store.bytes(i), store.key_hash(i)));
+    state.process(store, i);
   }
   auto closed = state.finish();
 

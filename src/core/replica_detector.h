@@ -76,11 +76,18 @@ class ReplicaDetector {
 
   // Returns every stream with at least two elements, ordered by start time.
   // The store is the columnized trace (RecordStore::build); records with
-  // ok == false are ignored. The hot path runs on a flat open-addressing
-  // table (util/flat_map.h) with arena-backed replica lists (util/arena.h);
-  // output is field-identical to the straightforward unordered_map engine
-  // kept as a test oracle (tests/reference_detector.h) — the differential
-  // tests in tests/test_memory_layout.cc prove it.
+  // ok == false are ignored. The hot path is a two-tier open set
+  // (core/detect_state.h). First sightings — ~99 % of records — take one
+  // 24-byte slot in a compact table keyed by the store's hash column,
+  // confirmed byte-exact against the captured bytes on every hash hit and
+  // expired wholesale per stream_timeout-wide time generation. Keys that see
+  // a replica move to a flat map of arena-backed streams (util/flat_map.h,
+  // util/arena.h). Against the single-tier table it replaced this cut
+  // detect from 325-474 to 69-130 ns/record on backbone2 (4-vCPU Xeon
+  // container; see core/detect_state.h), and detect memory now follows
+  // arrival rate x timeout rather than trace length. Output is field-identical to the straightforward
+  // unordered_map engine kept as a test oracle (tests/reference_detector.h)
+  // — the differential tests in tests/test_memory_layout.cc prove it.
   std::vector<ReplicaStream> detect(const RecordStore& store) const;
 
  private:

@@ -12,9 +12,11 @@
 // there are no false merges from hash collisions).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 
 #include "net/trace.h"
@@ -48,6 +50,22 @@ ReplicaKey make_replica_key(std::span<const std::byte> captured,
 // the normalized copy. The parallel detector uses this to assign records to
 // shards in one cheap pass before any per-shard key construction.
 std::uint64_t replica_key_hash(std::span<const std::byte> captured);
+
+// True when make_replica_key(a) and make_replica_key(b) hold the same bytes:
+// both captures agree everywhere except the TTL and the header checksum. The
+// detector confirms every hash hit with this against the trace's raw bytes,
+// so no key is materialized per record and a hash collision never merges
+// two packets. A key's own normalized bytes are a valid argument too.
+inline bool same_replica_bytes(std::span<const std::byte> a,
+                               std::span<const std::byte> b) {
+  const std::size_t n = std::min(a.size(), net::kSnapLen);
+  if (n != std::min(b.size(), net::kSnapLen)) return false;
+  const auto equal = [&](std::size_t lo, std::size_t hi) {
+    hi = std::min(hi, n);
+    return lo >= hi || std::memcmp(a.data() + lo, b.data() + lo, hi - lo) == 0;
+  };
+  return equal(0, 8) && equal(9, 10) && equal(12, n);
+}
 
 struct ReplicaKeyHash {
   std::size_t operator()(const ReplicaKey& k) const noexcept {

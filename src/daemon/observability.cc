@@ -167,8 +167,8 @@ void ObservabilityHub::publish_loops(std::vector<SuspectEntry> entries,
 void ObservabilityHub::publish_event(const std::string& line) {
   std::lock_guard<std::mutex> subs_lock(subs_mu_);
   for (const auto& sub : subs_) {
-    std::unique_lock<std::mutex> lock(sub->mu_, std::try_to_lock);
-    if (!lock.owns_lock() || sub->q_.size() >= sub->capacity_) {
+    std::unique_lock<std::mutex> lock(sub->mu_);
+    if (sub->q_.size() >= sub->capacity_) {
       sub->dropped_.fetch_add(1, std::memory_order_relaxed);
       events_dropped_.fetch_add(1, std::memory_order_relaxed);
       continue;
@@ -202,8 +202,17 @@ std::shared_ptr<EventStream> ObservabilityHub::subscribe(
 }
 
 void ObservabilityHub::unsubscribe(const std::shared_ptr<EventStream>& stream) {
-  std::lock_guard<std::mutex> lock(subs_mu_);
-  subs_.erase(std::remove(subs_.begin(), subs_.end(), stream), subs_.end());
+  {
+    std::lock_guard<std::mutex> lock(subs_mu_);
+    subs_.erase(std::remove(subs_.begin(), subs_.end(), stream), subs_.end());
+  }
+  subs_cv_.notify_all();
+}
+
+bool ObservabilityHub::wait_unsubscribed(int timeout_ms) {
+  std::unique_lock<std::mutex> lock(subs_mu_);
+  return subs_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
+                           [&] { return subs_.empty(); });
 }
 
 void ObservabilityHub::close_events() {
@@ -253,10 +262,19 @@ bool ObservabilityServer::start(std::string* error) {
   return server_.start(error);
 }
 
+namespace {
+// Upper bound on stop()'s wait for SSE handlers to flush their queues.
+constexpr int kEventsDrainMs = 5000;
+}  // namespace
+
 void ObservabilityServer::stop() {
-  // Wake SSE handlers first so their connection threads exit promptly when
-  // the server joins them.
+  // Close the event streams first and let each SSE handler write the lines
+  // already queued for it and return: stopping the HTTP server kills every
+  // stream writer at once, so stopping it first would drop alerts the
+  // daemon raised just before the drain. The wait is bounded by the same
+  // 5 s a stalled client may hold one response write.
   hub_->close_events();
+  (void)hub_->wait_unsubscribed(kEventsDrainMs);
   server_.stop();
 }
 
@@ -289,7 +307,7 @@ net::HttpResponse ObservabilityServer::metrics(const net::HttpRequest&) {
       static_cast<double>(hub_->loops_publishes_skipped())));
   snaps.push_back(make_counter(
       "rloop_obs_events_dropped_total",
-      "Alert events dropped by full or contended subscriber queues",
+      "Alert events dropped by full subscriber queues",
       static_cast<double>(hub_->events_dropped_total())));
 
   std::stable_sort(snaps.begin(), snaps.end(),

@@ -94,8 +94,11 @@ struct StatusSnapshot {
 };
 
 // One /events subscriber: a bounded FIFO of alert lines. The publisher
-// (consumer thread) pushes with try_lock + drop-newest; the SSE connection
-// thread pops with a timed wait.
+// (consumer thread) pushes under the queue lock, dropping the newest line
+// only when the queue is full; the SSE connection thread pops with a timed
+// wait. Both sides hold the lock for O(1) deque work only (the wait
+// releases it), so the publisher's wait is bounded and an alert is never
+// lost just because the SSE thread was popping at that instant.
 class EventStream {
  public:
   explicit EventStream(std::size_t capacity) : capacity_(capacity) {}
@@ -104,8 +107,8 @@ class EventStream {
   bool pop(std::string& out, int timeout_ms);
 
   bool closed() const;
-  // Lines dropped because the queue was full or the publisher could not
-  // take the lock; reading resets the count (the SSE writer reports it).
+  // Lines dropped because the queue was full; reading resets the count
+  // (the SSE writer reports it).
   std::uint64_t take_dropped() {
     return dropped_.exchange(0, std::memory_order_relaxed);
   }
@@ -122,8 +125,9 @@ class EventStream {
 };
 
 // The shared state between the daemon (single publisher) and the HTTP
-// threads (any number of readers). All publish_* methods are wait-free for
-// the caller: they try_lock and skip on contention.
+// threads (any number of readers). The snapshot publishes (status, loops)
+// are wait-free for the caller: they try_lock and skip on contention. Alert
+// fan-out is rare and must not lose lines, so it takes short locks.
 class ObservabilityHub {
  public:
   using SuspectEntry = core::StreamingDetector::SuspectEntry;
@@ -132,8 +136,8 @@ class ObservabilityHub {
   void publish_status(const StatusSnapshot& status);
   void publish_loops(std::vector<SuspectEntry> entries, net::TimeNs as_of,
                      std::uint64_t epoch, bool truncated);
-  // Alert fan-out. Takes the subscriber-list lock (alerts are rare events,
-  // not the per-packet path); each subscriber queue is try_locked.
+  // Alert fan-out. Takes the subscriber-list lock and each subscriber's
+  // queue lock (alerts are rare events, not the per-packet path).
   void publish_event(const std::string& line);
 
   // --- reader side (HTTP threads) ------------------------------------------
@@ -161,6 +165,10 @@ class ObservabilityHub {
   void unsubscribe(const std::shared_ptr<EventStream>& stream);
   // Wakes every subscriber with closed=true (daemon drain / server stop).
   void close_events();
+  // Waits until every subscriber has unsubscribed or `timeout_ms` passes;
+  // true when none is left. After close_events() an SSE handler unsubscribes
+  // once it has written every line already queued for it.
+  bool wait_unsubscribed(int timeout_ms);
 
   // Publishes skipped because a reader held the lock (visibility into the
   // wait-free trade; exported on /metrics).
@@ -184,6 +192,7 @@ class ObservabilityHub {
   bool loops_valid_ = false;
 
   std::mutex subs_mu_;
+  std::condition_variable subs_cv_;  // signalled on unsubscribe
   std::vector<std::shared_ptr<EventStream>> subs_;
 
   std::atomic<std::uint64_t> status_skipped_{0};

@@ -1,11 +1,13 @@
 // Bump/arena allocator for per-shard detection state.
 //
-// The replica detector opens one candidate stream per first-seen header —
-// millions of tiny, identically-sized objects whose lifetime all ends at the
-// same instant (when the shard finishes). A general-purpose heap pays
-// malloc/free per object plus per-object headers for that pattern; the arena
-// pays one pointer bump per allocation and frees everything wholesale when
-// the owning state is destroyed.
+// The replica detector keeps first sightings in a compact table of its own
+// (core/detect_state.h) and allocates a stream only for a key that has seen
+// a replica: still many small, identically-sized objects (stream nodes and
+// replica overflow chunks) whose lifetime all ends at the same instant (when
+// the shard finishes). A general-purpose heap pays malloc/free per object
+// plus per-object headers for that pattern; the arena pays one pointer bump
+// per allocation and frees everything wholesale when the owning state is
+// destroyed or reset().
 //
 // Restrictions (enforced where possible):
 //  - Only trivially destructible payloads: the arena never runs destructors.

@@ -72,6 +72,10 @@ class FlatMap {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   std::size_t bucket_count() const { return slots_.size(); }
+  // Heap bytes held by the slot and distance arrays.
+  std::size_t bytes_reserved() const {
+    return slots_.capacity() * sizeof(Slot) + dist_.capacity();
+  }
 
   // --- lookup ---------------------------------------------------------------
 

@@ -4,19 +4,23 @@
 // RecordStore, and the flat NonLoopedIndex are all optimizations with an
 // exact-behavior contract: field-identical output to the straightforward
 // structures they replaced. reference_detector.h keeps the pre-overhaul
-// engine as the oracle; these tests diff the two on synthetic and fuzzed
-// traces, serially and through the sharded pipeline, and pin the allocation
-// win the arena + flat table exist for.
+// engine as the oracle; these tests diff the two on synthetic, fuzzed and
+// adversarial traces (forced hash collisions, timeout and generation
+// boundaries, IP-ID reuse), serially and through the sharded pipeline, and
+// pin the allocation win and the bounded detect memory the two-tier open set
+// exists for.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "core/detect_state.h"
 #include "core/loop_detector.h"
 #include "core/pipeline.h"
 #include "core/prefix_index.h"
@@ -210,6 +214,237 @@ TEST(MemoryLayout, ShardedFlatDetectorMatchesReferenceAcrossShardCounts) {
                                   "streams");
     }
   }
+}
+
+// --- Adversarial differentials for the two-tier open set -------------------
+
+// Diffs the serial detector and the pipelined front (shard_bits 1-3)
+// against the oracle on `trace` under `detector`.
+void expect_detectors_match_reference(const net::Trace& trace,
+                                      const ReplicaDetectorConfig& detector) {
+  const auto records = parse_trace(trace);
+  const auto reference = reference_detect(trace, records, detector);
+  expect_equal_stream_vectors(
+      reference,
+      ReplicaDetector(detector).detect(RecordStore::build(trace, records)),
+      "serial");
+  for (const unsigned bits : {1u, 2u, 3u}) {
+    SCOPED_TRACE("shard_bits=" + std::to_string(bits));
+    LoopDetectorConfig config;
+    config.detector = detector;
+    config.parallel.num_threads = 4;
+    config.parallel.shard_bits = bits;
+    expect_equal_stream_vectors(
+        reference, detect_loops(trace, config).raw_streams, "pipelined");
+  }
+}
+
+// A store whose key_hash column is `forced(true hash)` instead of the true
+// hash. `forced` must be a function of the hash (hence of the key bytes), so
+// every replica of one packet still shares a hash, but it may map every key
+// onto a handful of values: then every lookup is a hash hit, and only the
+// byte-exact compare keeps distinct packets apart.
+RecordStore store_with_forced_hashes(
+    const net::Trace& trace, const std::vector<ParsedRecord>& records,
+    const std::function<std::uint64_t(std::uint64_t)>& forced) {
+  RecordStore store;
+  store.prepare(trace, records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    store.set_row(i, records[i], forced(replica_key_hash(trace[i].bytes())));
+  }
+  return store;
+}
+
+TEST(MemoryLayout, ForcedHashCollisionsNeverMergeDistinctPackets) {
+  const std::vector<
+      std::pair<const char*, std::function<std::uint64_t(std::uint64_t)>>>
+      hashings = {
+          {"one constant", [](std::uint64_t) { return 0x5eedULL; }},
+          {"two alternating constants",
+           [](std::uint64_t h) { return (h & 1) ? 0xa11ceULL : 0xb0bULL; }},
+      };
+  for (const std::uint64_t seed : {0u, 17u, 101u}) {
+    TraceBuilder builder;
+    const net::Trace& trace =
+        seed == 0 ? synthetic_trace(builder) : fuzz_trace(builder, seed);
+    const auto records = parse_trace(trace);
+    const auto reference = reference_detect(trace, records);
+    ASSERT_GT(reference.size(), 2u) << "fixture must exercise the detector";
+    for (const auto& [name, forced] : hashings) {
+      SCOPED_TRACE(std::string(name) + " seed=" + std::to_string(seed));
+      // The emitted key carries the store's hash; everything else must
+      // match the oracle exactly.
+      auto expected = reference;
+      for (auto& stream : expected) stream.key.hash = forced(stream.key.hash);
+      expect_equal_stream_vectors(
+          expected,
+          ReplicaDetector().detect(
+              store_with_forced_hashes(trace, records, forced)),
+          "serial");
+    }
+    expect_detectors_match_reference(trace, {});
+  }
+}
+
+// Growing the tier-1 table can reorder same-hash sightings (a probe chain
+// that wrapped past the end of the old slot array is re-inserted wrapped
+// part first). With every hash forced onto the last slot of the initial
+// table, two live sightings of one header straddle the wrap when the table
+// grows; the replica that follows must still extend the newer one.
+TEST(MemoryLayout, TableGrowthKeepsNewestFirstScanOrder) {
+  std::uint64_t last_slot = 1;
+  while ((util::detail::fmix64(last_slot) & 1023) != 1023) ++last_slot;
+
+  TraceBuilder builder;
+  const net::Ipv4Addr dst(10, 8, 8, 8);
+  builder.packet(0, dst, 60, 9);                     // older sighting
+  builder.packet(net::kMicrosecond, dst, 61, 9);     // newer: TTL up by one
+  for (int i = 2; i < 700; ++i) {  // past one growth (512), short of two
+    builder.packet(i * net::kMicrosecond, dst, 64,
+                   static_cast<std::uint16_t>(10 + i));
+  }
+  builder.packet(700 * net::kMicrosecond, dst, 58, 9);  // extends either
+  const net::Trace& trace = builder.trace();
+  const auto records = parse_trace(trace);
+
+  auto expected = reference_detect(trace, records);
+  ASSERT_EQ(expected.size(), 1u);
+  ASSERT_EQ(expected[0].replicas.front().record_index, 1u);
+  expected[0].key.hash = last_slot;
+  expect_equal_stream_vectors(
+      expected,
+      ReplicaDetector().detect(store_with_forced_hashes(
+          trace, records, [&](std::uint64_t) { return last_slot; })),
+      "serial");
+}
+
+// Replicas exactly stream_timeout and stream_timeout + 1 ns apart, records
+// at k*T - 1, k*T and k*T + 1 (the tier-1 generation boundaries), and gaps
+// of 2T and more, which clear both generations at once.
+net::Trace& timeout_boundary_trace(TraceBuilder& builder, net::TimeNs timeout) {
+  const net::TimeNs t = timeout;
+  std::uint16_t id = 1;
+  const auto dst = [](int k) {
+    return net::Ipv4Addr(10, 9, static_cast<std::uint8_t>(k), 1);
+  };
+  for (int k = 1; k <= 4; ++k) {
+    for (const net::TimeNs base : {k * t - 1, k * t, k * t + 1}) {
+      // Exactly T apart: still live, across one generation boundary.
+      builder.packet(base, dst(k), 100, id);
+      builder.packet(base + t, dst(k), 98, id);
+      builder.packet(base + t + 1, dst(k), 96, id);
+      ++id;
+      // T + 1 apart: expired, two singletons, then a fresh stream.
+      builder.packet(base, dst(k), 100, id);
+      builder.packet(base + t + 1, dst(k), 98, id);
+      builder.packet(base + t + 2, dst(k), 96, id);
+      ++id;
+      // Within one generation or straddling into the next.
+      builder.packet(base, dst(k), 90, id);
+      builder.packet(base + 1, dst(k), 88, id);
+      ++id;
+    }
+  }
+  // Gaps of >= 2T between consecutive records: both generations clear.
+  net::TimeNs ts = 20 * t;
+  for (const net::TimeNs gap : {2 * t, 2 * t + 1, 5 * t, 2 * t - 1}) {
+    builder.packet(ts, dst(50), 64, id);
+    builder.packet(ts + 1, dst(50), 62, id);  // promoted, then left to expire
+    builder.packet(ts + 2, dst(51), 64, static_cast<std::uint16_t>(id + 1));
+    ts += gap;
+    builder.packet(ts, dst(50), 60, id);  // past the timeout: fresh sighting
+    builder.packet(ts, dst(51), 62, static_cast<std::uint16_t>(id + 1));
+    builder.packet(ts + 1, dst(51), 60, static_cast<std::uint16_t>(id + 1));
+    id = static_cast<std::uint16_t>(id + 2);
+  }
+  return builder.trace();
+}
+
+TEST(MemoryLayout, TimeoutAndGenerationBoundariesMatchReference) {
+  for (const net::TimeNs timeout :
+       {10 * net::kSecond, net::kMillisecond, net::TimeNs{7}}) {
+    SCOPED_TRACE("stream_timeout=" + std::to_string(timeout));
+    TraceBuilder builder;
+    const net::Trace& trace = timeout_boundary_trace(builder, timeout);
+    ReplicaDetectorConfig detector;
+    detector.stream_timeout = timeout;
+    ASSERT_GT(reference_detect(trace, parse_trace(trace), detector).size(),
+              10u);
+    expect_detectors_match_reference(trace, detector);
+  }
+}
+
+// Several live first sightings of one header (IP-ID reuse): TTLs that do
+// not extend each other keep each a separate candidate, and the replica
+// that promotes the key matches the middle one, so promotion must carry the
+// newer and the older sighting into the chain in the oracle's order.
+TEST(MemoryLayout, IpIdReusePromotesEveryLiveSightingInOrder) {
+  TraceBuilder builder;
+  const net::Ipv4Addr dst(10, 7, 7, 7);
+  const net::TimeNs ms = net::kMillisecond;
+  // Stale sighting: a TTL drop of 3 would extend it, but it is 11 s old.
+  builder.packet(0, dst, 61, 4242);
+  const net::TimeNs t = 11 * net::kSecond;
+  builder.packet(t, dst, 40, 4242);           // oldest live
+  builder.packet(t + 1 * ms, dst, 60, 4242);  // middle: TTL up, new sighting
+  builder.packet(t + 2 * ms, dst, 59, 4242);  // newest: delta 1, new sighting
+  builder.packet(t + 3 * ms, dst, 58, 4242);  // delta 1 to newest, 2 to middle
+  builder.packet(t + 4 * ms, dst, 56, 4242);  // extends the newest (59 -> 56)
+  builder.packet(t + 5 * ms, dst, 200, 4242);  // joins the chain as a sighting
+  builder.packet(t + 6 * ms, dst, 38, 4242);   // extends newest compatible
+  builder.packet(t + 7 * ms, dst, 40, 4242);   // equal-TTL duplicate somewhere
+  // The same shape with the replica matching the oldest sighting instead.
+  builder.packet(t, dst, 80, 777);
+  builder.packet(t + 1 * ms, dst, 90, 777);
+  builder.packet(t + 2 * ms, dst, 89, 777);
+  builder.packet(t + 3 * ms, dst, 78, 777);
+  const net::Trace& trace = builder.trace();
+
+  const auto reference = reference_detect(trace, parse_trace(trace));
+  ASSERT_GE(reference.size(), 3u);
+  expect_detectors_match_reference(trace, {});
+  // And with equal-TTL duplicates off, which changes which sighting the
+  // duplicate may extend.
+  ReplicaDetectorConfig no_duplicates;
+  no_duplicates.keep_link_layer_duplicates = false;
+  expect_detectors_match_reference(trace, no_duplicates);
+}
+
+// Detect memory follows arrival rate x stream_timeout, not trace length: on
+// a replica-free trace, four times the records at the same packet rate must
+// not grow the engine's reserved bytes (arena plus both tiers).
+TEST(MemoryLayout, FirstSightingMemoryDoesNotGrowWithTraceLength) {
+  ReplicaDetectorConfig detector;
+  detector.stream_timeout = 100 * net::kMillisecond;
+  const net::TimeNs spacing = 100 * net::kMicrosecond;  // 10^4 packets/s
+  const auto reserved_after = [&](std::size_t n) {
+    net::Trace trace("replica-free", 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto pkt = net::make_udp_packet(
+          net::Ipv4Addr(198, 51, 100, 1),
+          net::Ipv4Addr(10, static_cast<std::uint8_t>(i >> 16),
+                        static_cast<std::uint8_t>(i >> 8),
+                        static_cast<std::uint8_t>(i)),
+          1000, 2000, 64, 64, static_cast<std::uint16_t>(i));
+      trace.add(static_cast<net::TimeNs>(i) * spacing, pkt,
+                pkt.ip.total_length);
+    }
+    const auto store = RecordStore::build(trace, parse_trace(trace));
+    detail::FlatDetectState state(detector, nullptr, nullptr);
+    for (std::size_t i = 0; i < n; ++i) state.process(store, i);
+    EXPECT_EQ(state.counts.opened, n);
+    EXPECT_EQ(state.counts.replicas, 0u);
+    const std::size_t bytes = state.bytes_reserved();
+    EXPECT_TRUE(state.finish().empty());
+    return bytes;
+  };
+  constexpr std::size_t kN = 20'000;  // 2 s: twenty generations
+  const std::size_t small = reserved_after(kN);
+  const std::size_t large = reserved_after(4 * kN);
+  EXPECT_LE(large * 4, small * 5) << "N: " << small << " B, 4N: " << large
+                                  << " B";
+  // Well under one tier-1 slot per record of the longer trace.
+  EXPECT_LT(large, 4 * kN * sizeof(detail::SightingTable::Slot));
 }
 
 TEST(MemoryLayout, RecordStoreColumnsMatchParsedRecords) {
