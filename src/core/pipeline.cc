@@ -18,7 +18,6 @@
 #include "telemetry/counter.h"
 #include "telemetry/registry.h"
 #include "telemetry/trace.h"
-#include "util/simd.h"
 #include "util/spsc_ring.h"
 #include "util/thread_pool.h"
 
@@ -81,7 +80,7 @@ struct PipelineWorkspace::Impl {
 
   RecordStore store;
   std::vector<std::uint64_t> hashes;      // replica_key_hash per record
-  std::vector<std::uint32_t> shard_ids;   // mix64(hash) & (num_shards - 1)
+  std::vector<std::uint32_t> shard_ids;   // shard_of_key_hash(hash)
   std::vector<EpochBatch*> claimed;       // driver's per-worker batch in hand
 
   std::vector<std::unique_ptr<Lane>> lanes;                 // one per worker
@@ -195,12 +194,8 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
         const std::int64_t t0 = timed ? now_ns() : 0;
         for (std::size_t i = lo; i < hi; ++i) {
           ws.hashes[i] = replica_key_hash(trace[i].bytes());
+          ws.shard_ids[i] = shard_of_key_hash(ws.hashes[i], num_shards);
         }
-        // num_shards is 1 << shard_bits (ParallelConfig), so the modulo in
-        // shard_of_key_hash is this mask; the SIMD kernel computes the same
-        // mix64-and-mask for four hashes per lane.
-        util::simd::mix64_mask(ws.hashes.data() + lo, ws.shard_ids.data() + lo,
-                               hi - lo, num_shards - 1);
         const std::int64_t t1 = timed ? now_ns() : 0;
         // Claim one batch per worker. An empty free ring means that worker
         // is kRingDepth epochs behind — waiting here is the back-pressure

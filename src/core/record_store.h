@@ -46,16 +46,17 @@ class RecordStore {
   static RecordStore build(const net::Trace& trace,
                            const std::vector<ParsedRecord>& records);
 
-  // Staged-dataflow support (core/pipeline.cc): sizes every column for `n`
-  // records of `trace` without filling them; rows are then written by
-  // set_row, each exactly once, by the worker that owns the record
-  // (disjoint-row discipline — no two threads ever touch one index).
+  // Sizes every column for `n` records of `trace` without filling them;
+  // rows are then written by set_row, each exactly once — in order by
+  // build(), and by the worker that owns the record in the staged dataflow
+  // (core/pipeline.cc; disjoint-row discipline — no two threads ever touch
+  // one index).
   // Column capacity is reused across calls, so a persistent workspace's
   // store allocates nothing once warm.
   void prepare(const net::Trace& trace, std::size_t n);
 
   // Fills row i from a parsed record plus its precomputed replica-key hash;
-  // the hash is stored only when the record parsed ok, matching build().
+  // the hash is stored only when the record parsed ok (0 otherwise).
   void set_row(std::size_t i, const ParsedRecord& rec,
                std::uint64_t key_hash) {
     ts_[i] = rec.ts;

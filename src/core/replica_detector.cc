@@ -1,10 +1,8 @@
 #include "core/replica_detector.h"
 
-#include <algorithm>
 #include <array>
 
 #include "core/detect_state.h"
-#include "util/simd.h"
 
 namespace rloop::core {
 
@@ -21,25 +19,13 @@ std::vector<int> ReplicaStream::ttl_deltas() const {
 }
 
 int ReplicaStream::dominant_ttl_delta() const {
-  // A TTL delta fits [1, 255]; a direct-indexed counter avoids the
-  // allocating ordered map this used, and the ascending scan with a strict
-  // `>` keeps the same tie-break (smallest delta wins). The pairwise
-  // accumulation runs through the SIMD histogram kernel in 256-pair tiles
-  // gathered from the replica array (each TTL is one strided byte of a
-  // Replica), with one element of overlap so tile seams contribute their
-  // pair exactly once.
+  // A TTL delta fits [1, 255], so a direct-indexed counter suffices; the
+  // ascending scan with a strict `>` makes the smallest delta win a tie.
   std::array<std::uint32_t, 256> counts{};
-  const std::size_t n = replicas.size();
-  std::uint8_t ttls[257];
-  std::size_t i = 1;
-  while (i < n) {
-    const std::size_t pairs = std::min<std::size_t>(256, n - i);
-    ttls[0] = replicas[i - 1].ttl;
-    for (std::size_t j = 0; j < pairs; ++j) {
-      ttls[j + 1] = replicas[i + j].ttl;
-    }
-    util::simd::ttl_delta_hist(ttls, pairs + 1, counts.data());
-    i += pairs;
+  for (std::size_t i = 1; i < replicas.size(); ++i) {
+    const std::uint8_t prev = replicas[i - 1].ttl;
+    const std::uint8_t cur = replicas[i].ttl;
+    if (prev > cur) ++counts[prev - cur];
   }
   int best = 0;
   std::uint32_t best_count = 0;

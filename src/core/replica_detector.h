@@ -85,9 +85,10 @@ class ReplicaDetector {
   // util/arena.h). Against the single-tier table it replaced this cut
   // detect from 325-474 to 69-130 ns/record on backbone2 (4-vCPU Xeon
   // container; see core/detect_state.h), and detect memory now follows
-  // arrival rate x timeout rather than trace length. Output is field-identical to the straightforward
-  // unordered_map engine kept as a test oracle (tests/reference_detector.h)
-  // — the differential tests in tests/test_memory_layout.cc prove it.
+  // arrival rate x timeout rather than trace length. Output is
+  // field-identical to the straightforward unordered_map engine kept as a
+  // test oracle (tests/reference_detector.h) — the differential tests in
+  // tests/test_memory_layout.cc prove it.
   std::vector<ReplicaStream> detect(const RecordStore& store) const;
 
  private:

@@ -5,8 +5,8 @@
 // loops, same ValidationStats. The sharding argument (parallel.h) says this
 // holds for any trace; these tests check it on simulator-generated Backbone
 // traces across seeds, on synthetic adversarial traces, and for the
-// supporting primitives (parallel parse, key-hash consistency, pool
-// exception propagation).
+// supporting primitives (key-hash consistency, pool exception
+// propagation).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -128,41 +128,6 @@ TEST(ParallelPipeline, EmptyTrace) {
   EXPECT_EQ(result.total_records, 0u);
   EXPECT_TRUE(result.raw_streams.empty());
   EXPECT_TRUE(result.loops.empty());
-}
-
-TEST(ParallelPipeline, ParallelParseMatchesSerial) {
-  TraceBuilder builder;
-  util::Rng rng(17);
-  for (int i = 0; i < 3000; ++i) {
-    if (rng.bernoulli(0.05)) {
-      builder.raw(i * 1000, std::vector<std::byte>(
-                                static_cast<std::size_t>(
-                                    rng.uniform_int(0, 20))));
-    } else {
-      builder.packet(i * 1000,
-                     net::Ipv4Addr(10, 0, static_cast<std::uint8_t>(i % 250),
-                                   static_cast<std::uint8_t>(i % 200)),
-                     static_cast<std::uint8_t>(rng.uniform_int(2, 255)),
-                     static_cast<std::uint16_t>(i));
-    }
-  }
-  const auto serial = core::parse_trace(builder.trace());
-  util::ThreadPool pool(4);
-  // Chunk sizes that do and do not divide the record count evenly.
-  for (const std::size_t chunk : {std::size_t{0}, std::size_t{1},
-                                  std::size_t{7}, std::size_t{4096}}) {
-    SCOPED_TRACE("chunk=" + std::to_string(chunk));
-    const auto parallel =
-        core::parse_trace_parallel(builder.trace(), pool, chunk);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(parallel[i].ok, serial[i].ok) << i;
-      EXPECT_EQ(parallel[i].ts, serial[i].ts) << i;
-      EXPECT_EQ(parallel[i].index, serial[i].index) << i;
-      EXPECT_EQ(parallel[i].dst24, serial[i].dst24) << i;
-      EXPECT_EQ(parallel[i].wire_len, serial[i].wire_len) << i;
-    }
-  }
 }
 
 // replica_key_hash (the shard-assignment fast path) must agree with the hash

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/metrics.h"
@@ -253,6 +254,52 @@ TEST(ReplicaStreamSpacing, SpacingCdfExcludesSubTwoReplicaStreams) {
   EXPECT_EQ(cdf.size(), 1u);
   EXPECT_EQ(cdf.fraction_at_or_below(1.0), 0.0);
   EXPECT_EQ(cdf.fraction_at_or_below(2.0), 1.0);
+}
+
+ReplicaStream stream_of_ttls(const std::vector<std::uint8_t>& ttls) {
+  ReplicaStream s;
+  for (std::size_t i = 0; i < ttls.size(); ++i) {
+    s.replicas.push_back({static_cast<std::uint32_t>(i),
+                          static_cast<net::TimeNs>(i) * 1'000, ttls[i]});
+  }
+  return s;
+}
+
+// The loop hop count is the most common TTL decrease between successive
+// replicas: increases and equal-TTL duplicates do not vote, and a tie goes
+// to the smallest delta.
+TEST(ReplicaStream, DominantTtlDeltaRules) {
+  // One vote each for 2 and 3, in either order: the smaller wins.
+  EXPECT_EQ(stream_of_ttls({100, 98, 95}).dominant_ttl_delta(), 2);
+  EXPECT_EQ(stream_of_ttls({100, 97, 95}).dominant_ttl_delta(), 2);
+
+  // Zero deltas outnumber the 2 but never vote.
+  EXPECT_EQ(stream_of_ttls({60, 60, 60, 58, 70, 70}).dominant_ttl_delta(), 2);
+  // Two increases of 10 do not count as decreases of 10.
+  EXPECT_EQ(stream_of_ttls({40, 50, 60, 57}).dominant_ttl_delta(), 3);
+
+  EXPECT_EQ(stream_of_ttls({}).dominant_ttl_delta(), 0);
+  EXPECT_EQ(stream_of_ttls({64}).dominant_ttl_delta(), 0);
+  EXPECT_EQ(stream_of_ttls({64, 64, 64, 64}).dominant_ttl_delta(), 0);
+
+  // 600 replicas. Replicas 0..256 zig-zag 100/98: 128 decreases of 2.
+  // Replicas 257..513 zig-zag 95/100: 129 decreases of 5, the first being
+  // the pair (256, 257). The rest repeat 95 (duplicates). 5 wins by one
+  // vote, so every pair must count exactly once, including (256, 257).
+  std::vector<std::uint8_t> ttls(600);
+  for (std::size_t i = 0; i < ttls.size(); ++i) {
+    if (i <= 256) {
+      ttls[i] = i % 2 == 1 ? 98 : 100;
+    } else if (i <= 513) {
+      ttls[i] = i % 2 == 1 ? 95 : 100;
+    } else {
+      ttls[i] = 95;
+    }
+  }
+  EXPECT_EQ(stream_of_ttls(ttls).dominant_ttl_delta(), 5);
+  // Without the last decrease of 5 the counts tie and 2 wins.
+  std::fill(ttls.begin() + 513, ttls.end(), 100);
+  EXPECT_EQ(stream_of_ttls(ttls).dominant_ttl_delta(), 2);
 }
 
 TEST(StreamMembership, MarksExactlyStreamRecords) {
