@@ -61,7 +61,7 @@ BENCHMARK(BM_ReplicaDetect)->Unit(benchmark::kMillisecond);
 // stream_timeout, not trace length.
 constexpr std::size_t kFirstSightingRecords = std::size_t{1} << 19;
 
-const core::RecordStore& replica_free_store() {
+const net::Trace& replica_free_trace() {
   static const net::Trace trace = [] {
     net::Trace t("replica-free", 0);
     for (std::size_t i = 0; i < kFirstSightingRecords; ++i) {
@@ -78,8 +78,12 @@ const core::RecordStore& replica_free_store() {
     }
     return t;
   }();
-  static const core::RecordStore store =
-      core::RecordStore::build(trace, core::parse_trace(trace));
+  return trace;
+}
+
+const core::RecordStore& replica_free_store() {
+  static const core::RecordStore store = core::RecordStore::build(
+      replica_free_trace(), core::parse_trace(replica_free_trace()));
   return store;
 }
 
@@ -102,6 +106,30 @@ void BM_DetectFirstSightings(benchmark::State& state) {
       static_cast<double>(store.size());
 }
 BENCHMARK(BM_DetectFirstSightings)->Unit(benchmark::kMillisecond);
+
+// The same replica-free trace through the online detector, packet by
+// packet as rloopd feeds it: every packet is a tier-1 first sighting. The
+// `bytes_per_packet` counter is the detector's reserved memory (both tiers,
+// hold-downs and suspects) over the packet count.
+void BM_StreamingFirstSightings(benchmark::State& state) {
+  const net::Trace& trace = replica_free_trace();
+  core::StreamingConfig config;
+  config.stream_timeout = net::kSecond;
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    core::StreamingDetector detector(config, nullptr);
+    for (const auto& rec : trace.records()) {
+      detector.on_packet(rec.ts, rec.bytes());
+    }
+    benchmark::DoNotOptimize(detector.alerts_raised());
+    bytes = detector.bytes_reserved();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(trace.size()));
+  state.counters["bytes_per_packet"] =
+      static_cast<double>(bytes) / static_cast<double>(trace.size());
+}
+BENCHMARK(BM_StreamingFirstSightings)->Unit(benchmark::kMillisecond);
 
 void BM_FullPipeline(benchmark::State& state) {
   const auto& trace = bench_trace();

@@ -5,11 +5,13 @@
 // Nearly every record is a first sighting that never meets a replica (0.8 %
 // of backbone2's records are replicas), so the open set has two tiers:
 //
-//  - Tier 1, first sightings: a compact open-addressing table of
-//    (key hash, ts, record index, ttl), 24 bytes a slot, keyed by the
-//    store's key_hash column. A hash hit is confirmed byte-exact against
-//    the trace's captured bytes (same_replica_bytes), so a collision never
-//    merges two packets and no ReplicaKey is built per record. Sightings
+//  - Tier 1, first sightings: a compact open-addressing table
+//    (core/sighting_table.h, shared with the streaming detector) of
+//    (key hash, ts, record index, ttl), 24 bytes a slot plus one tag byte,
+//    keyed by the store's key_hash column. A hash hit is confirmed
+//    byte-exact against the trace's captured bytes (same_replica_bytes), so
+//    a collision never merges two packets and no ReplicaKey is built per
+//    record. Sightings
 //    expire by time generation: one table per stream_timeout-wide slice of
 //    time, two in rotation. When the current record's generation advances
 //    by one the older table is cleared in place; a gap of two or more
@@ -53,6 +55,7 @@
 #include "core/record_store.h"
 #include "core/replica_detector.h"
 #include "core/replica_key.h"
+#include "core/sighting_table.h"
 #include "net/time.h"
 #include "telemetry/decision_log.h"
 #include "telemetry/registry.h"
@@ -156,91 +159,15 @@ static_assert(std::is_trivially_destructible_v<FlatOpenStream>,
 static_assert(std::is_trivially_destructible_v<ReplicaChunk>,
               "arena-allocated");
 
-// Tier 1: one generation's first sightings. Linear probing over a
-// power-of-two slot array at <= 1/2 load, hashed through fmix64 like
-// FlatMap. Slots are never erased one at a time — promotion marks a slot
-// taken, and the whole table is cleared when its generation ages out — so
-// a probe chain only grows, and an unsuccessful probe ends at the very slot
-// the next insert fills.
-class SightingTable {
- public:
-  struct Slot {
-    std::uint64_t hash = 0;
-    net::TimeNs ts = 0;
-    std::uint32_t index = 0;
-    std::uint8_t ttl = 0;
-    std::uint8_t state = kEmpty;
-  };
-  static constexpr std::uint8_t kEmpty = 0;
-  static constexpr std::uint8_t kLive = 1;
-  static constexpr std::uint8_t kTaken = 2;  // promoted into tier 2
-
-  // Makes room for one insert; call it before probe() so the vacancy that
-  // probe() returns is the slot place() may fill.
-  void reserve_one() {
-    if ((used_ + 1) * 2 > slots_.size()) grow();
-  }
-
-  // Calls fn(slot) for every live slot whose hash equals `hash`, in probe
-  // order, and returns the empty slot that ends the chain (nullptr for a
-  // table with no slots).
-  template <class Fn>
-  Slot* probe(std::uint64_t hash, Fn&& fn) {
-    if (slots_.empty()) return nullptr;
-    for (std::size_t i = home(hash);; i = (i + 1) & mask_) {
-      Slot& slot = slots_[i];
-      if (slot.state == kEmpty) return &slot;
-      if (slot.hash == hash && slot.state == kLive) fn(slot);
-    }
-  }
-
-  void place(Slot* vacancy, const Slot& sighting) {
-    *vacancy = sighting;
-    ++used_;
-  }
-
-  // Empties the table and keeps its capacity; returns how many sightings
-  // were still untaken (they close unmatched, i.e. expire).
-  std::uint64_t clear() {
-    if (used_ == 0) return 0;
-    std::uint64_t untaken = 0;
-    for (Slot& slot : slots_) {
-      untaken += slot.state == kLive ? 1 : 0;
-      slot = Slot{};
-    }
-    used_ = 0;
-    return untaken;
-  }
-
-  std::size_t bytes_reserved() const {
-    return slots_.capacity() * sizeof(Slot);
-  }
-
- private:
-  static constexpr std::size_t kMinSlots = 1024;
-
-  std::size_t home(std::uint64_t hash) const {
-    return static_cast<std::size_t>(util::detail::fmix64(hash)) & mask_;
-  }
-
-  // Doubles the slot array, dropping taken slots. Rehashing may reorder
-  // same-hash sightings, so callers order hits by record index, not by
-  // probe order.
-  void grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? kMinSlots : old.size() * 2, Slot{});
-    mask_ = slots_.size() - 1;
-    used_ = 0;
-    for (const Slot& slot : old) {
-      if (slot.state != kLive) continue;
-      place(probe(slot.hash, [](Slot&) {}), slot);
-    }
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t mask_ = 0;
-  std::size_t used_ = 0;  // live and taken slots
+// Tier-1 slot: a first sighting, identified by its record index into the
+// store (whose bytes confirm every hash hit).
+struct RecordSighting {
+  std::uint64_t hash = 0;
+  net::TimeNs ts = 0;
+  std::uint32_t index = 0;
+  std::uint8_t ttl = 0;
 };
+using SightingTable = SightingTableOf<RecordSighting>;
 
 static_assert(sizeof(SightingTable::Slot) <= 24, "tier-1 slot budget");
 
@@ -353,24 +280,18 @@ struct FlatDetectState {
     return kept;
   }
 
-  // Rotates tier 1 so sightings[current] is ts's generation. Generations
-  // are stream_timeout wide (at least 1 ns), floored so negative
-  // timestamps rotate too.
+  // Rotates tier 1 so sightings[current] is ts's generation.
   void advance_generation(net::TimeNs ts) {
-    const net::TimeNs width = std::max<net::TimeNs>(config->stream_timeout, 1);
-    net::TimeNs g = ts / width;
-    if (ts % width < 0) --g;
-    if (g == generation) return;
-    if (generation != kNoGeneration && g == generation + 1) {
+    const Generation gen = generation_of(ts, config->stream_timeout);
+    if (gen.index == generation) return;
+    if (generation != kNoGeneration && gen.index == generation + 1) {
       counts.expired += sightings[current ^ 1].clear();
       current ^= 1;
     } else {
       counts.expired += sightings[0].clear() + sightings[1].clear();
     }
-    generation = g;
-    next_generation_ts = g < std::numeric_limits<net::TimeNs>::max() / width
-                             ? (g + 1) * width
-                             : std::numeric_limits<net::TimeNs>::max();
+    generation = gen.index;
+    next_generation_ts = gen.next_ts;
   }
 
   FlatOpenStream* open_stream(const RecordStore& store, std::uint32_t index,
@@ -493,8 +414,7 @@ struct FlatDetectState {
     now_table.place(vacancy, {.hash = hash,
                               .ts = ts,
                               .index = static_cast<std::uint32_t>(i),
-                              .ttl = store.ttl(i),
-                              .state = SightingTable::kLive});
+                              .ttl = store.ttl(i)});
   }
 
   // Tier 2: the key already has a chain of open streams.
@@ -531,7 +451,7 @@ struct FlatDetectState {
       Sighting& s = **it;
       FlatOpenStream* os = open_stream(store, s.index, s.ts, s.ttl);
       if (&s == matched) extended = os;
-      s.state = SightingTable::kTaken;
+      (sightings[0].owns(&s) ? sightings[0] : sightings[1]).take(s);
       *tail = os;
       tail = &os->older;
     }

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <vector>
 
+#include "net/byteio.h"
+#include "net/ipv4.h"
 #include "util/failpoint.h"
 #include "util/fileio.h"
 
@@ -116,6 +118,29 @@ net::Prefix get_prefix(Cursor& c) {
     return net::Prefix{};
   }
   return net::Prefix::of(net::Ipv4Addr(addr), len);
+}
+
+// The checksum only proves a frame was not damaged, not that its writer
+// was honest, and restore copies key bytes into fixed-size table slots. So
+// an open entry must look exactly like one the detector makes: an IPv4
+// capture of at most kSnapLen bytes with TTL, header checksum and every
+// byte past `len` zeroed, its replica_key_hash, at least one replica, and
+// the /24 of its own destination.
+bool plausible_open_entry(const core::ReplicaKey& key,
+                          const core::StreamingDetector::OpenEntry& entry) {
+  if (key.len < net::kIpv4HeaderSize || key.len > net::kSnapLen) return false;
+  const auto& b = key.normalized;
+  if (b[8] != std::byte{0} || b[10] != std::byte{0} || b[11] != std::byte{0}) {
+    return false;
+  }
+  if (std::any_of(b.begin() + key.len, b.end(),
+                  [](std::byte x) { return x != std::byte{0}; })) {
+    return false;
+  }
+  const std::span<const std::byte> bytes(b.data(), key.len);
+  return key.hash == core::replica_key_hash(bytes) && entry.replicas > 0 &&
+         entry.prefix24 ==
+             net::Prefix::slash24(net::Ipv4Addr(net::read_u32(bytes, 16)));
 }
 
 // True when `seq` was parsed from a name of the form ckpt-<seq>.rlck.
@@ -267,6 +292,11 @@ bool decode_checkpoint(std::string_view bytes, CheckpointState& state,
     entry.replicas = c.u32();
     entry.last_delta = static_cast<std::int32_t>(c.u32());
     entry.prefix24 = get_prefix(c);
+    if (c.ok && !plausible_open_entry(key, entry)) {
+      if (error) *error = "checkpoint open entry " + std::to_string(i) +
+                          " is not a detector key";
+      return false;
+    }
     det.open.emplace_back(std::move(key), entry);
   }
   const std::uint64_t holddown_count = c.u64();

@@ -66,8 +66,11 @@ std::string encode_checkpoint(const CheckpointState& state);
 
 // Parses and verifies a frame produced by encode_checkpoint. Returns false
 // (message in *error when non-null) on short input, bad magic, unknown
-// version, size mismatch, or checksum mismatch; `state` is unspecified on
-// failure.
+// version, size mismatch, checksum mismatch, or an open entry the detector
+// could not have written (key longer than kSnapLen or shorter than an IPv4
+// header, unmasked TTL/checksum or bytes past its length, a hash that is
+// not its replica_key_hash, zero replicas, or a /24 other than its
+// destination's); `state` is unspecified on failure.
 bool decode_checkpoint(std::string_view bytes, CheckpointState& state,
                        std::string* error = nullptr);
 

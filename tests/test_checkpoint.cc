@@ -7,18 +7,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/replica_key.h"
 #include "core/streaming_detector.h"
+#include "daemon/config.h"
 #include "daemon/daemon.h"
 #include "daemon/packet_source.h"
 #include "net/packet.h"
+#include "reference_streaming.h"
 #include "trace_builder.h"
 
 namespace rloop::daemon {
@@ -178,6 +183,128 @@ TEST(Checkpoint, CorruptionIsAlwaysDetected) {
   // Trailing garbage changes the frame size: reject, do not ignore.
   EXPECT_FALSE(decode_checkpoint(good + "x", out, &error));
   EXPECT_TRUE(decode_checkpoint(good, out, &error)) << error;
+}
+
+// An open entry is an outside input even when its frame's checksum is
+// good: each entry below is written by encode_checkpoint (so the checksum
+// matches) and must still be refused, because restore would copy its key
+// into a fixed-size table slot or trust its hash.
+TEST(Checkpoint, HostileOpenEntriesFailClosed) {
+  const CheckpointState good = make_state();
+  ASSERT_FALSE(good.detector.open.empty());
+  CheckpointState out;
+  std::string error;
+  ASSERT_TRUE(decode_checkpoint(encode_checkpoint(good), out, &error)) << error;
+
+  using Entry = core::StreamingDetector::OpenEntry;
+  const auto rehash = [](core::ReplicaKey& key) {
+    key.hash = core::replica_key_hash(
+        std::span<const std::byte>(key.normalized.data(),
+                                   std::min<std::size_t>(key.len,
+                                                         net::kSnapLen)));
+  };
+  const std::vector<
+      std::pair<const char*, std::function<void(core::ReplicaKey&, Entry&)>>>
+      cases = {
+          {"len past kSnapLen", [](auto& k, auto&) { k.len = 41; }},
+          {"len 255", [](auto& k, auto&) { k.len = 255; }},
+          {"len below an IPv4 header",
+           [&](auto& k, auto&) {
+             k.len = 12;
+             std::fill(k.normalized.begin() + 12, k.normalized.end(),
+                       std::byte{0});
+             rehash(k);
+           }},
+          {"unmasked TTL", [](auto& k, auto&) { k.normalized[8] = std::byte{64}; }},
+          {"unmasked checksum",
+           [](auto& k, auto&) { k.normalized[11] = std::byte{0x5a}; }},
+          {"byte past len",
+           [](auto& k, auto&) { k.normalized[net::kSnapLen - 1] = std::byte{1}; }},
+          {"hash not replica_key_hash", [](auto& k, auto&) { k.hash ^= 1; }},
+          {"zero replicas", [](auto&, auto& e) { e.replicas = 0; }},
+          {"prefix not a /24",
+           [](auto&, auto& e) {
+             e.prefix24 = net::Prefix::of(e.prefix24.addr, 16);
+           }},
+          {"prefix not the key's /24",
+           [](auto&, auto& e) {
+             e.prefix24 = net::Prefix::slash24(Ipv4Addr(192, 0, 2, 1));
+           }},
+      };
+  for (const auto& [what, mutate] : cases) {
+    SCOPED_TRACE(what);
+    CheckpointState bad = good;
+    auto& [key, entry] = bad.detector.open.back();
+    ASSERT_LT(key.len, net::kSnapLen) << "test needs a short capture";
+    mutate(key, entry);
+    EXPECT_FALSE(decode_checkpoint(encode_checkpoint(bad), out, &error));
+    EXPECT_NE(error.find("open entry"), std::string::npos) << error;
+  }
+}
+
+// snapshot -> encode -> decode -> restore -> snapshot is the identity, at
+// cut points all along a trace (first sightings and promoted keys, with and
+// without hold-downs) and under the daemon's configuration.
+TEST(Checkpoint, RestoreThenSnapshotIsByteIdentical) {
+  const net::Trace trace = make_loopy_trace();
+  for (const core::StreamingConfig& cfg :
+       {core::StreamingConfig{}, DaemonConfig::daemon_streaming_defaults()}) {
+    core::StreamingDetector detector(cfg, nullptr);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      detector.on_packet(trace.records()[i].ts, trace.records()[i].bytes());
+      if (i % 5 != 4) continue;
+      CheckpointState state;
+      state.detector = detector.snapshot();
+      const std::string frame = encode_checkpoint(state);
+      CheckpointState decoded;
+      ASSERT_TRUE(decode_checkpoint(frame, decoded, nullptr));
+      core::StreamingDetector restored(cfg, nullptr);
+      restored.restore(decoded.detector);
+      CheckpointState again;
+      again.detector = restored.snapshot();
+      EXPECT_EQ(encode_checkpoint(again), frame) << "cut after record " << i;
+      EXPECT_EQ(restored.open_entries(), detector.open_entries());
+    }
+  }
+}
+
+// Frames keep their layout and version across the detector rebuild: a
+// frame cut from the unordered_map engine (tests/reference_streaming.h,
+// whose snapshot also carries entries past the timeout that no sweep has
+// removed yet) decodes, and a StreamingDetector restored from it finishes
+// the trace with exactly the alerts of an uninterrupted run of that engine.
+TEST(Checkpoint, OldEngineFramesRestoreUnchanged) {
+  const net::Trace trace = make_loopy_trace();
+  std::vector<std::string> expected;
+  rloop::testing::ReferenceStreaming uninterrupted(
+      {}, [&](const core::LoopAlert& a) { expected.push_back(render(a)); });
+  for (const auto& rec : trace.records()) {
+    uninterrupted.on_packet(rec.ts, rec.bytes());
+  }
+  ASSERT_GE(expected.size(), 3u);
+
+  for (std::size_t cut = 1; cut < trace.size(); cut += 3) {
+    SCOPED_TRACE(cut);
+    std::vector<std::string> alerts;
+    rloop::testing::ReferenceStreaming old(
+        {}, [&](const core::LoopAlert& a) { alerts.push_back(render(a)); });
+    for (std::size_t i = 0; i < cut; ++i) {
+      old.on_packet(trace.records()[i].ts, trace.records()[i].bytes());
+    }
+    CheckpointState state;
+    state.detector = old.snapshot();
+    CheckpointState decoded;
+    std::string error;
+    ASSERT_TRUE(decode_checkpoint(encode_checkpoint(state), decoded, &error))
+        << error;
+    core::StreamingDetector restored(
+        {}, [&](const core::LoopAlert& a) { alerts.push_back(render(a)); });
+    restored.restore(decoded.detector);
+    for (std::size_t i = cut; i < trace.size(); ++i) {
+      restored.on_packet(trace.records()[i].ts, trace.records()[i].bytes());
+    }
+    EXPECT_EQ(alerts, expected);
+  }
 }
 
 TEST(Checkpoint, UnknownVersionIsRejected) {

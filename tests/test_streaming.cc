@@ -2,9 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/loop_detector.h"
+#include "core/replica_key.h"
+#include "reference_streaming.h"
+#include "scenarios/scenario.h"
 #include "telemetry/registry.h"
 #include "trace_builder.h"
+#include "util/random.h"
 
 namespace rloop::core {
 namespace {
@@ -385,6 +395,493 @@ TEST(StreamingDetector, AgreesWithOfflineOnCleanStreams) {
     }
     EXPECT_TRUE(found) << loop.prefix24.to_string();
   }
+}
+
+// The timeout boundary is inclusive: a replica exactly stream_timeout after
+// the entry's last touch still counts, one nanosecond later restarts the
+// entry. Both tiers: the second replica meets a first sighting, the third
+// a key that already has a replica.
+TEST(StreamingDetector, ReplicaExactlyAtTimeoutCounts) {
+  StreamingConfig cfg;
+  cfg.stream_timeout = net::kMillisecond;
+  for (const net::TimeNs extra : {net::TimeNs{0}, net::TimeNs{1}}) {
+    SCOPED_TRACE(extra);
+    TraceBuilder builder;
+    builder.replica_stream(net::kSecond, Ipv4Addr(203, 0, 113, 10), 60, 7, 3,
+                           2, cfg.stream_timeout + extra);
+    Harness harness(cfg);
+    harness.feed(builder.trace());
+    EXPECT_EQ(harness.alerts.size(), extra == 0 ? 1u : 0u);
+    EXPECT_EQ(harness.detector.suspect_entries().size(), extra == 0 ? 1u : 0u);
+  }
+}
+
+// The alert-delay histogram sees raised alerts only: on the hold-down trace
+// two alerts fire, each 2 ms after its stream's first replica, and the
+// suppressed crossings in between are not observed.
+TEST(StreamingDetector, AlertDelayHistogramCountsRaisedAlerts) {
+  TraceBuilder builder;
+  const Ipv4Addr dst(203, 0, 113, 10);
+  builder.replica_stream(0, dst, 60, 7, 10, 2, net::kMillisecond);
+  builder.replica_stream(net::kSecond, dst, 60, 8, 10, 2, net::kMillisecond);
+  builder.replica_stream(2 * net::kMinute, dst, 60, 9, 10, 2,
+                         net::kMillisecond);
+  telemetry::Registry reg;
+  Harness harness({}, &reg);
+  harness.feed(builder.trace());
+
+  ASSERT_EQ(harness.alerts.size(), 2u);
+  const telemetry::Histogram* delay =
+      reg.histogram("rloop_streaming_alert_delay_ns", {});
+  ASSERT_NE(delay, nullptr);
+  EXPECT_EQ(delay->count(), 2u);
+  EXPECT_DOUBLE_EQ(delay->sum(), 2.0 * 2 * net::kMillisecond);
+}
+
+// --- memory attribution -----------------------------------------------------
+
+// Serializes a distinct UDP packet per index (distinct /24 and IP ID).
+std::vector<std::byte> flood_packet(std::uint32_t i) {
+  const auto pkt = net::make_udp_packet(
+      Ipv4Addr(198, 51, 100, 1),
+      Ipv4Addr(10, static_cast<std::uint8_t>(i >> 16),
+               static_cast<std::uint8_t>(i >> 8),
+               static_cast<std::uint8_t>(i)),
+      1000, 2000, 64, 64, static_cast<std::uint16_t>(i));
+  std::vector<std::byte> bytes(net::kSnapLen);
+  bytes.resize(net::serialize_packet(pkt, bytes));
+  return bytes;
+}
+
+// A replica-free flood at one rate: the tables follow rate x timeout, so
+// four times the packets reserve (almost) the same bytes.
+TEST(StreamingDetector, OpenTableBytesFollowRateNotLength) {
+  const auto reserved_after = [](std::uint32_t n) {
+    StreamingConfig cfg;
+    cfg.stream_timeout = net::kSecond;
+    telemetry::Registry reg;
+    StreamingDetector detector(cfg, nullptr, &reg);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      // 10^4 packets/s: ten thousand first sightings per generation.
+      detector.on_packet(static_cast<net::TimeNs>(i) * 100 * net::kMicrosecond,
+                         flood_packet(i));
+    }
+    EXPECT_EQ(detector.alerts_raised(), 0u);
+    // The gauge is refreshed at every sweep.
+    EXPECT_GT(reg.gauge("rloop_streaming_open_table_bytes")->value(), 0);
+    return detector.bytes_reserved();
+  };
+  constexpr std::uint32_t kN = 50'000;  // 5 s: five generations
+  const std::size_t small = reserved_after(kN);
+  const std::size_t large = reserved_after(4 * kN);
+  EXPECT_LE(large * 4, small * 5) << "N: " << small << " B, 4N: " << large
+                                  << " B";
+}
+
+// Under a budget of B entries, first-sighting slots are capped at two per
+// budgeted entry (64 bytes each) and compacted on eviction, so a flood of
+// distinct keys never holds more than 128 bytes per budgeted entry, in one
+// generation or across many.
+TEST(StreamingDetector, BudgetBoundsOpenTableBytes) {
+  constexpr std::size_t kBudget = 1000;
+  for (const net::TimeNs timeout : {10 * net::kSecond, 2 * net::kMillisecond}) {
+    SCOPED_TRACE(timeout);
+    StreamingConfig cfg;
+    cfg.max_open_entries = kBudget;
+    cfg.stream_timeout = timeout;
+    StreamingDetector detector(cfg, nullptr);
+    std::size_t peak_bytes = 0;
+    for (std::uint32_t i = 0; i < 20 * kBudget; ++i) {
+      detector.on_packet(static_cast<net::TimeNs>(i) * net::kMicrosecond,
+                         flood_packet(i));
+      peak_bytes = std::max(peak_bytes, detector.bytes_reserved());
+    }
+    EXPECT_GT(detector.evicted(), 0u);
+    EXPECT_LE(detector.peak_open_entries(), kBudget);
+    EXPECT_LE(peak_bytes, 128 * kBudget);
+  }
+}
+
+// --- differential oracle ----------------------------------------------------
+//
+// StreamingDetector against the unordered_map engine it replaced
+// (tests/reference_streaming.h), fed the same packets: rendered alerts,
+// alert_* journal events, suspect entries and the live part of the
+// snapshot must agree. Entries past the timeout are dead to both engines
+// but linger for different times (until a sweep there, until a generation
+// rotates out here), so snapshots compare on live entries.
+
+std::string render(const LoopAlert& a) {
+  std::ostringstream out;
+  out << a.prefix24.to_string() << " first=" << a.first_seen
+      << " raised=" << a.raised_at << " replicas=" << a.replicas
+      << " delta=" << a.ttl_delta;
+  return out.str();
+}
+
+std::string render(const telemetry::DecisionEvent& e) {
+  std::ostringstream out;
+  out << static_cast<int>(e.kind) << ' ' << e.dst24.to_string() << ' '
+      << e.ts << ' ' << e.record_index << ' ' << e.detail << ' ' << e.detail2;
+  return out.str();
+}
+
+std::vector<std::string> render(
+    const std::vector<StreamingDetector::SuspectEntry>& entries) {
+  std::vector<std::string> out;
+  for (const auto& e : entries) {
+    std::ostringstream line;
+    line << e.prefix24.to_string() << ' ' << e.first_ts << ' ' << e.last_ts
+         << ' ' << e.replicas << ' ' << e.ttl_delta;
+    out.push_back(line.str());
+  }
+  return out;
+}
+
+// Every snapshot field but peak_open, with only the entries still live at
+// the snapshot's last timestamp.
+std::vector<std::string> render_live(const StreamingDetector::Snapshot& s,
+                                     net::TimeNs stream_timeout) {
+  std::vector<std::string> lines;
+  std::ostringstream head;
+  head << "last_ts=" << s.last_ts << " packets=" << s.packets_seen
+       << " alerts=" << s.alerts_raised << " reordered=" << s.reordered
+       << " reorder_dropped=" << s.reorder_dropped << " evicted=" << s.evicted
+       << " sampled=" << s.sampled_dropped << " since_sweep=" << s.since_sweep;
+  lines.push_back(head.str());
+  for (const auto& [key, e] : s.open) {
+    if (s.last_ts - e.last_ts > stream_timeout) continue;
+    std::ostringstream line;
+    line << std::hex << key.hash << std::dec << '/' << int{key.len} << ' '
+         << e.first_ts << ' ' << e.last_ts << ' ' << int{e.last_ttl} << ' '
+         << e.replicas << ' ' << e.last_delta << ' '
+         << e.prefix24.to_string();
+    lines.push_back(line.str());
+  }
+  for (const auto& [prefix, ts] : s.holddowns) {
+    lines.push_back(prefix.to_string() + " held " + std::to_string(ts));
+  }
+  return lines;
+}
+
+// Reports the first differing line only: the rendered states run to
+// thousands of lines, too many for a full diff.
+void expect_same_lines(const std::vector<std::string>& got,
+                       const std::vector<std::string>& want) {
+  const auto [g, w] = std::mismatch(got.begin(), got.end(), want.begin(),
+                                    want.end());
+  if (g == got.end() && w == want.end()) return;
+  ADD_FAILURE() << "line " << (g - got.begin()) << " of " << got.size()
+                << " / " << want.size() << ": detector \""
+                << (g == got.end() ? "<end>" : *g) << "\", reference \""
+                << (w == want.end() ? "<end>" : *w) << '"';
+}
+
+class Differential {
+ public:
+  explicit Differential(StreamingConfig cfg)
+      : config_(cfg),
+        journal_(big_journal()),
+        reference_journal_(big_journal()),
+        detector_(
+            cfg, [this](const LoopAlert& a) { alerts_.push_back(render(a)); },
+            nullptr, &journal_),
+        reference_(
+            cfg,
+            [this](const LoopAlert& a) {
+              reference_alerts_.push_back(render(a));
+            },
+            &reference_journal_) {}
+
+  void feed(net::TimeNs ts, std::span<const std::byte> bytes) {
+    detector_.on_packet(ts, bytes);
+    reference_.on_packet(ts, bytes);
+  }
+
+  void update_config(const StreamingConfig& cfg) {
+    config_ = cfg;
+    detector_.update_config(cfg);
+    reference_.update_config(cfg);
+  }
+
+  void set_sample_keep_one_in(std::uint32_t n) {
+    detector_.set_sample_keep_one_in(n);
+    reference_.set_sample_keep_one_in(n);
+  }
+
+  // Compares the state both engines hold right now.
+  void check_state(const std::string& where) {
+    SCOPED_TRACE(where);
+    expect_same_lines(render(detector_.suspect_entries()),
+                      render(reference_.suspect_entries()));
+    expect_same_lines(
+        render_live(detector_.snapshot(), config_.stream_timeout),
+        render_live(reference_.snapshot(), config_.stream_timeout));
+  }
+
+  // Compares everything both engines have emitted so far.
+  void check_output() {
+    expect_same_lines(alerts_, reference_alerts_);
+    std::vector<std::string> events, reference_events;
+    for (const auto& e : journal_.snapshot()) events.push_back(render(e));
+    for (const auto& e : reference_journal_.snapshot()) {
+      reference_events.push_back(render(e));
+    }
+    expect_same_lines(events, reference_events);
+    EXPECT_EQ(detector_.alerts_raised(), reference_.alerts_raised());
+    EXPECT_EQ(detector_.sampled_dropped(), reference_.sampled_dropped());
+  }
+
+  const std::vector<std::string>& alerts() const { return alerts_; }
+  StreamingDetector& detector() { return detector_; }
+  rloop::testing::ReferenceStreaming& reference() { return reference_; }
+
+ private:
+  static telemetry::DecisionLog::Options big_journal() {
+    telemetry::DecisionLog::Options options;
+    options.capacity = 1u << 20;
+    return options;
+  }
+
+  StreamingConfig config_;
+  std::vector<std::string> alerts_;
+  std::vector<std::string> reference_alerts_;
+  telemetry::DecisionLog journal_;
+  telemetry::DecisionLog reference_journal_;
+  StreamingDetector detector_;
+  rloop::testing::ReferenceStreaming reference_;
+};
+
+TEST(StreamingOracle, CannedScenariosMatchTheReference) {
+  for (const std::string& name : scenarios::canned_scenario_names()) {
+    SCOPED_TRACE(name);
+    const auto run = scenarios::run_scenario(scenarios::canned_scenario(name));
+    StreamingConfig cfg = scenarios::scenario_streaming_config(run->spec);
+    // The daemon's budget, which these traces never reach.
+    cfg.max_open_entries = std::size_t{1} << 20;
+    Differential diff(cfg);
+    const net::Trace& trace = run->analysis_trace();
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      diff.feed(trace[i].ts, trace[i].bytes());
+      if ((i + 1) % 20'000 == 0) diff.check_state("record " + std::to_string(i));
+    }
+    diff.check_state("end");
+    diff.check_output();
+    if (run->spec.truth.expect_loops) EXPECT_FALSE(diff.alerts().empty());
+  }
+}
+
+// Two IPv4/TCP captures that differ only in their last eight bytes yet
+// share replica_key_hash: an FNV-1a collision found by a cycle search over
+// the 8-byte tail after this fixed 32-byte prefix.
+std::array<std::byte, net::kSnapLen> colliding_packet(bool second,
+                                                      std::uint8_t ttl) {
+  static constexpr std::uint8_t kPrefix[32] = {
+      0x45, 0x00, 0x00, 0x28, 0x12, 0x34, 0x00, 0x00, 0x00, 0x06, 0x00,
+      0x00, 198,  51,   100,  7,    203,  0,    113,  99,   0x04, 0x00,
+      0x00, 0x50, 0,    0,    0,    1,    0,    0,    0,    0};
+  const std::uint64_t tail =
+      second ? 0xf4cb7f85cb705737ULL : 0x06a4b73f1f58fc85ULL;
+  std::array<std::byte, net::kSnapLen> bytes{};
+  for (std::size_t i = 0; i < 32; ++i) bytes[i] = std::byte{kPrefix[i]};
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[32 + i] = static_cast<std::byte>((tail >> (8 * i)) & 0xff);
+  }
+  bytes[8] = std::byte{ttl};
+  bytes[10] = std::byte{ttl};  // the checksum is masked like the TTL
+  return bytes;
+}
+
+TEST(StreamingOracle, HashCollisionsNeverMergeKeys) {
+  const auto a = colliding_packet(false, 60);
+  const auto b = colliding_packet(true, 60);
+  ASSERT_EQ(replica_key_hash(a), replica_key_hash(b));
+  ASSERT_FALSE(same_replica_bytes(a, b));
+
+  // Interleaved loops of the two packets: every replica of one is a fresh
+  // TTL for the other, so a merged entry would restart or miscount.
+  StreamingConfig cfg;
+  cfg.alert_holddown = 1;  // every threshold crossing alerts
+  Differential diff(cfg);
+  net::TimeNs t = 0;
+  for (int i = 0; i < 6; ++i) {
+    diff.feed(t += 100, colliding_packet(false, static_cast<std::uint8_t>(60 - 2 * i)));
+    diff.feed(t += 100, colliding_packet(true, static_cast<std::uint8_t>(61 - 3 * i)));
+  }
+  diff.check_state("interleaved");
+  diff.check_output();
+  EXPECT_EQ(diff.alerts().size(), 8u);  // replicas 3 to 6 of each key
+  EXPECT_EQ(diff.detector().suspect_entries().size(), 2u);
+}
+
+// A random walk over a small key pool that exercises every per-key rule:
+// IP-ID reuse (the pool is small), loop-sized TTL drops, drops of 0 and 1,
+// TTL increases, replicas exactly T and T + 1 apart, packets at k*T - 1,
+// k*T and k*T + 1 (generation boundaries), clamped and dropped reordering,
+// the colliding pair above, and a stream of one-off keys that fills the
+// first-sighting tables.
+struct RandomTrace {
+  struct Packet {
+    net::TimeNs ts;
+    std::array<std::byte, net::kSnapLen> bytes;
+    std::size_t len;
+  };
+  std::vector<Packet> packets;
+
+  RandomTrace(std::uint64_t seed, std::size_t n, net::TimeNs timeout,
+              net::TimeNs tolerance) {
+    util::Rng rng(seed);
+    constexpr std::size_t kKeys = 48;
+    std::vector<std::uint8_t> ttl(kKeys, 64);
+    std::vector<net::TimeNs> seen(kKeys, 0);
+    net::TimeNs t = timeout;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rng.uniform() < 0.3) {
+        // A one-off first sighting (its IP ID recurs only after many
+        // timeouts).
+        const auto pkt = net::make_udp_packet(
+            Ipv4Addr(198, 51, 100, 2),
+            Ipv4Addr(10, static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
+                     0, 1),
+            1000, 2000, 64, 64,
+            static_cast<std::uint16_t>(rng.uniform_int(0, 65535)));
+        Packet p{t, {}, 0};
+        p.len = net::serialize_packet(pkt, p.bytes);
+        packets.push_back(p);
+        continue;
+      }
+      const auto k = static_cast<std::size_t>(rng.uniform_int(0, kKeys - 1));
+      const double mode = rng.uniform();
+      int next = ttl[k];
+      if (mode < 0.35) {
+        next -= static_cast<int>(rng.uniform_int(2, 4));
+      } else if (mode < 0.45) {
+        next -= 1;
+      } else if (mode < 0.55) {
+        // equal TTL: a link-layer duplicate
+      } else if (mode < 0.65) {
+        next += static_cast<int>(rng.uniform_int(1, 5));
+      } else {
+        next = static_cast<int>(rng.uniform_int(20, 250));
+      }
+      if (next < 1 || next > 255) next = 200;
+      ttl[k] = static_cast<std::uint8_t>(next);
+
+      const double when = rng.uniform();
+      if (when < 0.006) {
+        t = std::max(t, seen[k] + timeout + rng.uniform_int(0, 1));
+      } else if (when < 0.012) {
+        t = (t / timeout + 1) * timeout + rng.uniform_int(-1, 1);
+      } else {
+        t += rng.uniform_int(0, 3) == 0 ? 0 : rng.uniform_int(1, timeout / 100);
+      }
+      net::TimeNs ts = t;
+      if (rng.uniform() < 0.05) {
+        ts = t - rng.uniform_int(1, 2 * tolerance);  // clamp or drop
+      } else {
+        seen[k] = t;
+      }
+
+      Packet p{ts, {}, 0};
+      if (k < 2) {
+        p.bytes = colliding_packet(k == 1, ttl[k]);
+        p.len = net::kSnapLen;
+      } else {
+        const auto pkt = net::make_udp_packet(
+            Ipv4Addr(198, 51, 100, 1),
+            Ipv4Addr(203, 0, static_cast<std::uint8_t>(113 + k % 3),
+                     static_cast<std::uint8_t>(k)),
+            1000, 2000, 64, ttl[k], static_cast<std::uint16_t>(k % 5));
+        p.len = net::serialize_packet(pkt, p.bytes);
+      }
+      packets.push_back(p);
+    }
+  }
+};
+
+// Also under a budget that never binds (the daemon's configuration): the
+// budget machinery must not change anything until the budget is reached.
+TEST(StreamingOracle, RandomTracesMatchTheReference) {
+  constexpr net::TimeNs kTimeout = net::kMillisecond;
+  StreamingConfig cfg;
+  cfg.stream_timeout = kTimeout;
+  cfg.alert_holddown = 5 * net::kMillisecond;
+  cfg.reorder_tolerance_ns = 20 * net::kMicrosecond;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    cfg.max_open_entries = seed % 2 == 0 ? std::size_t{1} << 20 : 0;
+    const RandomTrace trace(seed, 80'000, kTimeout, cfg.reorder_tolerance_ns);
+    Differential diff(cfg);
+    for (std::size_t i = 0; i < trace.packets.size(); ++i) {
+      const auto& p = trace.packets[i];
+      diff.feed(p.ts, {p.bytes.data(), p.len});
+      if (i % 257 == 0) diff.check_state("packet " + std::to_string(i));
+    }
+    diff.check_state("end");
+    diff.check_output();
+    EXPECT_GT(diff.alerts().size(), 10u);
+    EXPECT_GT(diff.reference().reordered(), 0u);
+    EXPECT_GT(diff.reference().reorder_dropped(), 0u);
+  }
+}
+
+TEST(StreamingOracle, SamplingMatchesTheReference) {
+  StreamingConfig cfg;
+  cfg.stream_timeout = net::kMillisecond;
+  cfg.alert_holddown = 5 * net::kMillisecond;
+  const RandomTrace trace(7, 80'000, cfg.stream_timeout, 1);
+  Differential diff(cfg);
+  for (std::size_t i = 0; i < trace.packets.size(); ++i) {
+    if (i == 20'000) diff.set_sample_keep_one_in(3);
+    if (i == 60'000) diff.set_sample_keep_one_in(0);
+    const auto& p = trace.packets[i];
+    diff.feed(p.ts, {p.bytes.data(), p.len});
+  }
+  diff.check_state("end");
+  diff.check_output();
+  EXPECT_GT(diff.detector().sampled_dropped(), 0u);
+}
+
+// A SIGHUP that halves and later doubles stream_timeout: live first
+// sightings move into generations of the new width and stay live. The
+// doubling lands right after a sweep — the reference keeps entries that
+// the halved timeout killed until its next sweep, and a longer timeout
+// would revive them there.
+TEST(StreamingOracle, TimeoutReloadMatchesTheReference) {
+  StreamingConfig cfg;
+  cfg.stream_timeout = 2 * net::kMillisecond;
+  cfg.alert_holddown = 5 * net::kMillisecond;
+  cfg.reorder_tolerance_ns = 20 * net::kMicrosecond;
+  const RandomTrace trace(11, 120'000, cfg.stream_timeout,
+                          cfg.reorder_tolerance_ns);
+  Differential diff(cfg);
+  bool halved = false, doubled = false;
+  std::size_t reloaded_at = 0;
+  for (std::size_t i = 0; i < trace.packets.size(); ++i) {
+    if (!halved && i == 10'000) {
+      cfg.stream_timeout /= 2;
+      diff.update_config(cfg);
+      diff.check_state("halved");
+      halved = true;
+      reloaded_at = i;
+    }
+    if (halved && !doubled && i > 40'000 &&
+        diff.reference().since_sweep() == 0) {
+      cfg.stream_timeout *= 2;
+      diff.update_config(cfg);
+      diff.check_state("doubled");
+      doubled = true;
+      reloaded_at = i;
+    }
+    const auto& p = trace.packets[i];
+    diff.feed(p.ts, {p.bytes.data(), p.len});
+    // Closely after each reload, where the generations change width.
+    const std::size_t every = i - reloaded_at < 3'000 ? 7 : 101;
+    if (i % every == 0) diff.check_state("packet " + std::to_string(i));
+  }
+  ASSERT_TRUE(doubled);
+  diff.check_state("end");
+  diff.check_output();
 }
 
 }  // namespace
