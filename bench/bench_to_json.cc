@@ -28,8 +28,8 @@
 // Refresh it — on quiet hardware, best of several runs — whenever an
 // intentional performance change shifts the numbers:
 //
-//   cmake --build build -j && build/bench/bench_to_json \
-//       --repetitions 7 --out bench/BENCH_pipeline.baseline.json
+//   cmake --build build -j
+//   build/bench/bench_to_json --repetitions 7 --out bench/BENCH_pipeline.baseline.json
 #include <sys/resource.h>
 
 #include <atomic>

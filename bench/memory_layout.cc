@@ -31,8 +31,7 @@ const std::vector<core::ParsedRecord>& bench_records() {
 }
 
 const core::RecordStore& bench_store() {
-  static const auto store =
-      core::RecordStore::build(bench_trace(), bench_records());
+  static const auto store = core::RecordStore::build(bench_trace());
   return store;
 }
 
@@ -50,13 +49,12 @@ void BM_DetectFlat(benchmark::State& state) {
 }
 BENCHMARK(BM_DetectFlat)->Unit(benchmark::kMillisecond);
 
-// Store build included: the cost of detection starting from ParsedRecords.
+// Store build included: the cost of detection starting from the trace bytes.
 void BM_DetectFlatWithStoreBuild(benchmark::State& state) {
   const auto& trace = bench_trace();
-  const auto& records = bench_records();
   const core::ReplicaDetector detector;
   for (auto _ : state) {
-    const auto store = core::RecordStore::build(trace, records);
+    const auto store = core::RecordStore::build(trace);
     auto streams = detector.detect(store);
     benchmark::DoNotOptimize(streams);
   }
@@ -65,13 +63,12 @@ void BM_DetectFlatWithStoreBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_DetectFlatWithStoreBuild)->Unit(benchmark::kMillisecond);
 
-// ---- RecordStore build (the columnize stage) ----
+// ---- RecordStore build (detect_loops' parse stage) ----
 
 void BM_RecordStoreBuild(benchmark::State& state) {
   const auto& trace = bench_trace();
-  const auto& records = bench_records();
   for (auto _ : state) {
-    auto store = core::RecordStore::build(trace, records);
+    auto store = core::RecordStore::build(trace);
     benchmark::DoNotOptimize(store);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

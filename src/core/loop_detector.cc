@@ -1,11 +1,12 @@
 #include "core/loop_detector.h"
 
 #include "core/pipeline.h"
+#include "core/prefix_index.h"
 #include "core/record_store.h"
 
 namespace rloop::core {
 
-namespace {
+namespace detail {
 
 telemetry::Histogram* stage_histogram(telemetry::Registry* registry,
                                       const char* stage) {
@@ -15,7 +16,33 @@ telemetry::Histogram* stage_histogram(telemetry::Registry* registry,
       "Wall-clock latency of one detection-pipeline stage per call");
 }
 
-}  // namespace
+void finish_detect_loops(const RecordStore& store,
+                         const LoopDetectorConfig& config,
+                         NonLoopedScratch& scratch,
+                         LoopDetectionResult& result) {
+  telemetry::Registry* reg = config.registry;
+  result.total_records = store.size();
+  result.parse_failures = store.parse_failures();
+  telemetry::inc(telemetry::get_counter(
+                     reg, "rloop_pipeline_parse_failures_total", {},
+                     "Trace records whose IP header failed to parse"),
+                 result.parse_failures);
+  {
+    const telemetry::ScopedTimer timer(stage_histogram(reg, "validate"));
+    const telemetry::ScopedSpan span(config.trace, "validate");
+    const StreamValidator validator(config.validator, reg, config.journal);
+    result.valid_streams = validator.validate(store, result.raw_streams,
+                                              &result.validation, &scratch);
+  }
+  {
+    const telemetry::ScopedTimer timer(stage_histogram(reg, "merge"));
+    const telemetry::ScopedSpan span(config.trace, "merge");
+    const StreamMerger merger(config.merger, reg, config.journal);
+    result.loops = merger.merge(store, result.valid_streams, &scratch);
+  }
+}
+
+}  // namespace detail
 
 std::uint64_t LoopDetectionResult::looped_packet_records() const {
   std::uint64_t total = 0;
@@ -42,49 +69,23 @@ LoopDetectionResult detect_loops(const net::Trace& trace,
   telemetry::Registry* reg = config.registry;
   LoopDetectionResult result;
   const telemetry::ScopedSpan root_span(config.trace, "detect_loops");
-  {
-    const telemetry::ScopedTimer timer(stage_histogram(reg, "parse"));
-    const telemetry::ScopedSpan span(config.trace, "parse");
-    result.records = parse_trace(trace);
-    result.total_records = result.records.size();
-    for (const auto& rec : result.records) {
-      if (!rec.ok) ++result.parse_failures;
-    }
-  }
-  telemetry::inc(telemetry::get_counter(
-                     reg, "rloop_pipeline_parse_failures_total", {},
-                     "Trace records whose IP header failed to parse"),
-                 result.parse_failures);
-
-  // Columnize: transpose the parsed records into the SoA RecordStore the
-  // detect/validate/merge scans run on, and compute the replica-key hash
-  // column (once per record, reused by every later stage).
+  // Parse: write the SoA RecordStore the detect/validate/merge scans run on
+  // straight from the captured bytes, replica-key hash column included
+  // (computed once per record, reused by every later stage).
   RecordStore store;
   {
-    const telemetry::ScopedTimer timer(stage_histogram(reg, "columnize"));
-    const telemetry::ScopedSpan span(config.trace, "columnize");
-    store = RecordStore::build(trace, result.records);
+    const telemetry::ScopedTimer timer(detail::stage_histogram(reg, "parse"));
+    const telemetry::ScopedSpan span(config.trace, "parse");
+    store = RecordStore::build(trace);
   }
-
   {
-    const telemetry::ScopedTimer timer(stage_histogram(reg, "detect"));
+    const telemetry::ScopedTimer timer(detail::stage_histogram(reg, "detect"));
     const telemetry::ScopedSpan span(config.trace, "detect");
     const ReplicaDetector detector(config.detector, reg, config.journal);
     result.raw_streams = detector.detect(store);
   }
-  {
-    const telemetry::ScopedTimer timer(stage_histogram(reg, "validate"));
-    const telemetry::ScopedSpan span(config.trace, "validate");
-    const StreamValidator validator(config.validator, reg, config.journal);
-    result.valid_streams =
-        validator.validate(store, result.raw_streams, &result.validation);
-  }
-  {
-    const telemetry::ScopedTimer timer(stage_histogram(reg, "merge"));
-    const telemetry::ScopedSpan span(config.trace, "merge");
-    const StreamMerger merger(config.merger, reg, config.journal);
-    result.loops = merger.merge(store, result.valid_streams);
-  }
+  NonLoopedScratch scratch;
+  detail::finish_detect_loops(store, config, scratch, result);
   return result;
 }
 

@@ -39,7 +39,7 @@ struct LoopDetectorConfig {
   // telemetry overhead.
   telemetry::Registry* registry = nullptr;
   // Optional span sink: a root "detect_loops" span, one span per stage
-  // (parse/columnize/detect/validate/merge on the serial path,
+  // (parse/detect/validate/merge on the serial path,
   // detect/validate/merge on the parallel one), and on the parallel path
   // one span per epoch (hash_chunk on the driver, parse_chunk on each
   // worker) and per detect shard (detect_shard), exportable as Chrome
@@ -58,9 +58,9 @@ struct LoopDetectorConfig {
   PipelineWorkspace* workspace = nullptr;
 };
 
+// Stream and loop record indices point into the input trace; callers that
+// want a record's full headers parse it on demand (parse_record).
 struct LoopDetectionResult {
-  // The parsed trace; all stream/loop record indices point into this.
-  std::vector<ParsedRecord> records;
   // Step 1 output: every stream with >= 2 replicas.
   std::vector<ReplicaStream> raw_streams;
   // Step 2 output; loops' stream_indices point into this vector.
@@ -79,7 +79,8 @@ struct LoopDetectionResult {
   std::uint64_t looped_unique_packets() const { return valid_streams.size(); }
 };
 
-// Runs parse -> detect -> validate -> merge on `trace`.
+// Runs parse -> detect -> validate -> merge on `trace`. "parse" writes the
+// RecordStore columns straight from the captured bytes (core/record_store.h).
 LoopDetectionResult detect_loops(const net::Trace& trace,
                                  const LoopDetectorConfig& config = {});
 

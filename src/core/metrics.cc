@@ -77,32 +77,32 @@ std::vector<std::string> packet_categories(const net::ParsedPacket& pkt) {
   return cats;
 }
 
-analysis::CategoricalCounter traffic_type_mix(
-    const std::vector<ParsedRecord>& records) {
+namespace {
+
+// Category mix over the parseable records of `trace` that `keep(i)` selects.
+template <typename Keep>
+analysis::CategoricalCounter type_mix(const net::Trace& trace, Keep keep) {
   analysis::CategoricalCounter counter;
-  for (const auto& rec : records) {
-    if (!rec.ok) continue;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (!keep(i)) continue;
+    const auto pkt = net::parse_packet(trace[i].bytes());
+    if (!pkt) continue;
     counter.add_sample();
-    for (const auto& cat : packet_categories(rec.pkt)) {
-      counter.add(cat);
-    }
+    for (const auto& cat : packet_categories(*pkt)) counter.add(cat);
   }
   return counter;
 }
 
+}  // namespace
+
+analysis::CategoricalCounter traffic_type_mix(const net::Trace& trace) {
+  return type_mix(trace, [](std::size_t) { return true; });
+}
+
 analysis::CategoricalCounter looped_type_mix(
-    const std::vector<ParsedRecord>& records,
-    const std::vector<ReplicaStream>& valid_streams) {
-  analysis::CategoricalCounter counter;
-  const auto member = stream_membership(records.size(), valid_streams);
-  for (const auto& rec : records) {
-    if (!rec.ok || !member[rec.index]) continue;
-    counter.add_sample();
-    for (const auto& cat : packet_categories(rec.pkt)) {
-      counter.add(cat);
-    }
-  }
-  return counter;
+    const net::Trace& trace, const std::vector<ReplicaStream>& valid_streams) {
+  const auto member = stream_membership(trace.size(), valid_streams);
+  return type_mix(trace, [&](std::size_t i) { return member[i]; });
 }
 
 std::vector<DstSample> dst_timeseries(

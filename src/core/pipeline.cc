@@ -13,8 +13,6 @@
 #include "core/detect_state.h"
 #include "core/record_store.h"
 #include "core/replica_key.h"
-#include "core/stream_merger.h"
-#include "core/stream_validator.h"
 #include "telemetry/counter.h"
 #include "telemetry/registry.h"
 #include "telemetry/trace.h"
@@ -32,14 +30,6 @@ namespace {
 // consuming it.
 constexpr std::size_t kEpochRecords = std::size_t{1} << 15;
 constexpr std::size_t kRingDepth = 8;
-
-telemetry::Histogram* stage_histogram(telemetry::Registry* registry,
-                                      const char* stage) {
-  return telemetry::get_histogram(
-      registry, "rloop_pipeline_stage_latency_ns",
-      telemetry::latency_bounds_ns(), {{"stage", stage}},
-      "Wall-clock latency of one detection-pipeline stage per call");
-}
 
 std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -118,14 +108,13 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
   const telemetry::ScopedSpan root_span(config.trace, "detect_loops");
 
   {
-    const telemetry::ScopedTimer timer(stage_histogram(reg, "detect"));
+    const telemetry::ScopedTimer timer(detail::stage_histogram(reg, "detect"));
     const telemetry::ScopedSpan span(config.trace, "detect");
 
     // --- Workspace prep (all capacity-reusing once warm). -----------------
     ws.store.prepare(trace, n);
     ws.hashes.resize(n);
     ws.shard_ids.resize(n);
-    result.records.resize(n);
     if (ws.lanes.size() != num_workers) {
       ws.lanes.clear();
       for (unsigned w = 0; w < num_workers; ++w) {
@@ -156,7 +145,8 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
     }
     ws.shard_streams.resize(num_shards);
     ws.detect_shard_hist.assign(num_shards, nullptr);
-    for (unsigned s = 0; s < num_shards; ++s) {
+    // Without a registry, skip building the label sets: they allocate.
+    for (unsigned s = 0; reg != nullptr && s < num_shards; ++s) {
       ws.detect_shard_hist[s] = telemetry::get_histogram(
           reg, "rloop_pipeline_shard_latency_ns",
           telemetry::latency_bounds_ns(),
@@ -231,7 +221,7 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
       telemetry::inc(ingest_idle, idle);
     };
 
-    // --- Worker (bodies 1..W): parse, columnize, detect; then finish. -----
+    // --- Worker (bodies 1..W): write store rows, detect; then finish. -----
     const auto run_worker = [&](unsigned w) {
       Lane& lane = *ws.lanes[w];
       std::uint64_t busy = 0;
@@ -242,11 +232,8 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
           const telemetry::ScopedSpan span(config.trace, "parse_chunk");
           const std::int64_t t0 = timed ? now_ns() : 0;
           for (const std::uint32_t idx : b->indices) {
-            const ParsedRecord rec = parse_record(trace, idx);
-            const std::uint64_t h = ws.hashes[idx];
-            ws.store.set_row(idx, rec, h);
-            result.records[idx] = rec;
-            if (rec.ok) {
+            ws.store.set_row(idx, trace[idx], ws.hashes[idx]);
+            if (ws.store.ok(idx)) {
               ws.states[ws.shard_ids[idx]]->process(ws.store, idx);
             }
           }
@@ -338,33 +325,7 @@ LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
         counts.emitted);
   }
 
-  result.total_records = n;
-  for (const auto& rec : result.records) {
-    if (!rec.ok) ++result.parse_failures;
-  }
-  telemetry::inc(telemetry::get_counter(
-                     reg, "rloop_pipeline_parse_failures_total", {},
-                     "Trace records whose IP header failed to parse"),
-                 result.parse_failures);
-
-  // Validate and merge run serially on this thread once the front has
-  // drained: both need the full raw-stream set, and a sharded version pays
-  // one full-trace index scan per shard, which costs more than it saves.
-  {
-    const telemetry::ScopedTimer timer(stage_histogram(reg, "validate"));
-    const telemetry::ScopedSpan span(config.trace, "validate");
-    const StreamValidator validator(config.validator, reg, config.journal);
-    result.valid_streams =
-        validator.validate(ws.store, result.raw_streams, &result.validation,
-                           &ws.index_scratch);
-  }
-  {
-    const telemetry::ScopedTimer timer(stage_histogram(reg, "merge"));
-    const telemetry::ScopedSpan span(config.trace, "merge");
-    const StreamMerger merger(config.merger, reg, config.journal);
-    result.loops =
-        merger.merge(ws.store, result.valid_streams, &ws.index_scratch);
-  }
+  detail::finish_detect_loops(ws.store, config, ws.index_scratch, result);
   return result;
 }
 

@@ -1,15 +1,14 @@
 // Staged, epoch-overlapped dataflow for the offline detection pipeline.
 //
-// A barrier-style parallel path (parse, columnize and detect as separate
-// pool-wide stages with a full join between each) leaves workers idle for
-// most of the wall clock on traces where parse and hash dominate. The staged
-// front here fuses ingest -> parse ->
-// columnize -> shard-detect into one pass over the trace, pipelined by
-// epoch:
+// A barrier-style parallel path (parse and detect as separate pool-wide
+// stages with a full join between each) leaves workers idle for most of the
+// wall clock on traces where parse and hash dominate. The staged front here
+// fuses ingest -> parse (store rows) -> shard-detect into one pass over the
+// trace, pipelined by epoch:
 //
 //   driver (body 0)            workers (bodies 1..W)
 //   ------------------         -------------------------------------------
-//   epoch N+1: hash bytes,     epoch N: parse records, fill store rows,
+//   epoch N+1: hash bytes,     epoch N: write store rows from the bytes,
 //   assign shards,             feed each record to its shard's detect
 //   partition indices,    -->  state machine (FlatDetectState)
 //   push batch per worker      ...
@@ -20,14 +19,15 @@
 // concurrently with epoch N's parse/detect instead of waiting for it.
 // Partitioning invariants:
 //  - every record index is assigned to exactly one worker (shard s of the
-//    record's replica-key hash goes to worker s % W), so every store row and
-//    every records[] slot is written exactly once, by one thread;
+//    record's replica-key hash goes to worker s % W), so every store row is
+//    written exactly once, by one thread;
 //  - all records of one shard land on one worker in trace order, so each
 //    FlatDetectState sees exactly the record sequence the serial detector
 //    feeds it, and the concatenate + sort merge reproduces the serial
 //    stream order (same argument as parallel.h).
 // Validate and merge then run serially on the calling thread — they need the
-// full raw-stream set, and they are cheap next to the front — on one
+// full raw-stream set, and they are cheap next to the front — through the
+// same tail as the serial path (detail::finish_detect_loops), on one
 // workspace-owned index scratch, so a warm run reuses its capacity.
 //
 // PipelineWorkspace owns everything reusable across runs: the thread pool,
@@ -44,6 +44,9 @@
 #include "net/trace.h"
 
 namespace rloop::core {
+
+class RecordStore;
+struct NonLoopedScratch;
 
 class PipelineWorkspace {
  public:
@@ -68,5 +71,21 @@ class PipelineWorkspace {
 LoopDetectionResult detect_loops_pipelined(const net::Trace& trace,
                                            const LoopDetectorConfig& config,
                                            PipelineWorkspace& workspace);
+
+namespace detail {
+
+// rloop_pipeline_stage_latency_ns{stage=`stage`}; null without a registry.
+telemetry::Histogram* stage_histogram(telemetry::Registry* registry,
+                                      const char* stage);
+
+// The tail of both detect_loops bodies, once `store` and raw_streams are
+// filled: counts records and parse failures (the ok column), then runs
+// validate and merge serially on the calling thread over `scratch`.
+void finish_detect_loops(const RecordStore& store,
+                         const LoopDetectorConfig& config,
+                         NonLoopedScratch& scratch,
+                         LoopDetectionResult& result);
+
+}  // namespace detail
 
 }  // namespace rloop::core

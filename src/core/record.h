@@ -1,8 +1,9 @@
-// Parsed view of a trace: one ParsedRecord per captured packet.
+// Parsed view of a trace: one ParsedRecord per captured packet, parsed on
+// demand for readers that want full headers (transport type, TCP flags).
 //
-// The detector parses the whole trace once up front; every later stage works
-// on record indices, so a packet is identified by its position in the trace
-// throughout the pipeline.
+// detect_loops never builds these: it writes the IP-header fields it scans
+// straight into a RecordStore (core/record_store.h). Every stage works on
+// record indices, so a packet is identified by its position in the trace.
 #pragma once
 
 #include <cstdint>
@@ -26,9 +27,8 @@ struct ParsedRecord {
 };
 
 // Parses trace record `i` in isolation. Records parse independently (framing
-// happened at capture/pcap-read time), so any partition of indices across
-// workers — such as the staged dataflow's shard batches — reproduces
-// parse_trace() exactly, record for record.
+// happened at capture/pcap-read time), so parsing any subset of indices
+// reproduces parse_trace() exactly, record for record.
 ParsedRecord parse_record(const net::Trace& trace, std::size_t i);
 
 // Parses every record. Records whose IP header is malformed keep ok=false

@@ -1,10 +1,8 @@
-// Structure-of-arrays view of a parsed trace for the detection hot path.
+// Structure-of-arrays view of a trace for the detection hot path.
 //
-// The detect/validate/merge scans read a handful of narrow fields per record
-// (timestamp, TTL, destination /24, replica-key hash); ParsedRecord carries
-// all of them plus the full ParsedPacket, so an array-of-structs scan drags
-// ~10x the bytes it reads through the cache. RecordStore transposes the
-// fields the scans touch into contiguous per-field columns:
+// The paper's three steps read only IP-header fields of each record
+// (timestamp, TTL, destination /24, replica-key hash). RecordStore holds
+// exactly those, one contiguous column per field:
 //
 //   ts        int64   capture timestamp
 //   dst       uint32  raw destination address
@@ -13,17 +11,13 @@
 //   ok        uint8   1 when the IP header parsed
 //   key_hash  uint64  replica_key_hash over the captured bytes (0 when !ok)
 //
-// The key-hash column is computed once per record — by build() on the
-// serial path, by the pipeline's driver thread on the parallel one — and
-// every later consumer reuses it, so FNV runs exactly once per record on
-// every path. The store also keeps a pointer to the source trace: replica
-// keys are still materialized from the raw captured bytes (byte-precise
-// equality, no false merges), and `bytes(i)` hands those out. The trace must
-// therefore outlive the store.
-//
-// ParsedRecord remains the public API of parse results; the store is built
-// from (trace, records) by the serial pipeline's columnize stage, and row by
-// row (prepare + set_row) by the staged dataflow in core/pipeline.cc.
+// Rows are written straight from the captured bytes (IP header only), so the
+// store is the one per-record product of detect_loops; readers that want
+// full headers parse on demand (parse_record, core/record.h). The key hash
+// is computed once per record — by build() serially, by the pipeline's
+// driver thread in parallel. The store keeps a pointer to the source trace,
+// whose raw bytes (`bytes(i)`) keep replica keys byte-precise, so the trace
+// must outlive the store.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +25,7 @@
 #include <vector>
 
 #include "core/record.h"
+#include "net/ipv4.h"
 #include "net/prefix.h"
 #include "net/time.h"
 #include "net/trace.h"
@@ -41,8 +36,9 @@ class RecordStore {
  public:
   RecordStore() = default;
 
-  // Columnizes `records` (which must be parse_trace(trace)); retains a
-  // pointer to `trace` for bytes().
+  // Writes every row of `trace`; retains a pointer to it for bytes().
+  static RecordStore build(const net::Trace& trace);
+  // Same store; `records` (parse_trace(trace)) is not read.
   static RecordStore build(const net::Trace& trace,
                            const std::vector<ParsedRecord>& records);
 
@@ -55,17 +51,22 @@ class RecordStore {
   // store allocates nothing once warm.
   void prepare(const net::Trace& trace, std::size_t n);
 
-  // Fills row i from a parsed record plus its precomputed replica-key hash;
-  // the hash is stored only when the record parsed ok (0 otherwise).
-  void set_row(std::size_t i, const ParsedRecord& rec,
+  // Fills row i from the captured bytes of `rec` and its replica-key hash.
+  // `ok` is exactly parse_packet's success condition (the IP header
+  // parses); a row that fails keeps zeros in every column but ts.
+  void set_row(std::size_t i, const net::TraceRecord& rec,
                std::uint64_t key_hash) {
     ts_[i] = rec.ts;
-    ok_[i] = rec.ok ? 1 : 0;
-    dst_[i] = rec.pkt.ip.dst.value;
-    dst24_[i] = rec.dst24.addr.value;
-    ttl_[i] = rec.pkt.ip.ttl;
-    key_hash_[i] = rec.ok ? key_hash : 0;
+    const auto ip = net::Ipv4Header::parse(rec.bytes());
+    ok_[i] = ip ? 1 : 0;
+    dst_[i] = ip ? ip->dst.value : 0;
+    dst24_[i] = ip ? ip->dst.value & 0xffffff00u : 0;  // the /24 mask
+    ttl_[i] = ip ? ip->ttl : 0;
+    key_hash_[i] = ip ? key_hash : 0;
   }
+
+  // Records whose IP header failed to parse (rows with ok == 0).
+  std::uint64_t parse_failures() const;
 
   std::size_t size() const { return ts_.size(); }
   bool empty() const { return ts_.empty(); }

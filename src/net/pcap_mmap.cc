@@ -24,6 +24,7 @@ constexpr std::size_t kFileHeaderSize = 24;
 constexpr std::size_t kRecordHeaderSize = 16;
 constexpr std::size_t kEthernetHeaderSize = 14;
 constexpr std::uint16_t kEtherTypeIpv4 = 0x0800;
+constexpr std::uint32_t kMaxRecordLength = 1u << 20;
 
 std::uint32_t get_u32(const std::byte* p, bool swapped) {
   const auto b = [p](std::size_t i) {
@@ -37,6 +38,25 @@ std::uint16_t get_u16be(const std::byte* p) {
   return static_cast<std::uint16_t>(
       (std::uint16_t{std::to_integer<std::uint8_t>(p[0])} << 8) |
       std::uint16_t{std::to_integer<std::uint8_t>(p[1])});
+}
+
+// Records in `data` past the file header, counted from the record headers
+// alone: the walk stops exactly where parse_pcap_buffer's loop stops (short
+// header, short body, implausible length) and never throws, so the caller
+// can size the trace once before the real pass. Ethernet records the real
+// pass skips are counted too, so this is an upper bound.
+std::size_t count_records(std::span<const std::byte> data, bool swapped) {
+  std::size_t count = 0;
+  std::size_t off = kFileHeaderSize;
+  while (data.size() - off >= kRecordHeaderSize) {
+    const std::uint32_t cap_len = get_u32(data.data() + off + 8, swapped);
+    if (cap_len > kMaxRecordLength) break;
+    off += kRecordHeaderSize;
+    if (data.size() - off < cap_len) break;
+    off += cap_len;
+    ++count;
+  }
+  return count;
 }
 
 }  // namespace
@@ -88,6 +108,7 @@ Trace parse_pcap_buffer(std::span<const std::byte> data,
   }
 
   Trace trace(source_name, 0);
+  trace.reserve(count_records(data, swapped));
   bool have_epoch = false;
   TimeNs last_ts = 0;
   std::size_t off = kFileHeaderSize;
@@ -104,7 +125,7 @@ Trace parse_pcap_buffer(std::span<const std::byte> data,
     const std::uint32_t frac = get_u32(rh + 4, swapped);
     const std::uint32_t cap_len = get_u32(rh + 8, swapped);
     const std::uint32_t wire_len = get_u32(rh + 12, swapped);
-    if (cap_len > (1u << 20)) {
+    if (cap_len > kMaxRecordLength) {
       throw std::runtime_error("read_pcap: implausible record length");
     }
     off += kRecordHeaderSize;

@@ -49,6 +49,10 @@ class Trace {
   // simulator tap and tests).
   void add(TimeNs ts, const ParsedPacket& pkt, std::uint32_t wire_len);
 
+  // Reserves room for `n` records, so a reader that knows the count up front
+  // appends without regrowing (and copying) the record array.
+  void reserve(std::size_t n) { records_.reserve(n); }
+
   std::size_t size() const { return records_.size(); }
   bool empty() const { return records_.empty(); }
   const TraceRecord& operator[](std::size_t i) const { return records_[i]; }

@@ -91,7 +91,7 @@ struct BackboneSpec {
   // network, workload and failure-plan randomness (util::derive_seed).
   std::uint64_t workload_seed = 0;
   // Timed rate/focus phases forwarded to the workload (scenario engine).
-  std::vector<trafficgen::RatePhase> phases;
+  std::vector<trafficgen::RatePhase> phases{};
 };
 
 // Specs for the paper's four traces (k in 1..4). Throws std::invalid_argument

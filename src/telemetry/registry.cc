@@ -107,6 +107,10 @@ std::vector<MetricSnapshot> Registry::snapshot() const {
         snap.sum = h.sum();
         break;
       }
+      case MetricType::summary:
+        // Never registered: summaries are derived from histograms at
+        // export time (telemetry/quantiles.h).
+        break;
     }
     out.push_back(std::move(snap));
   }

@@ -19,7 +19,7 @@ namespace json_detail {
 struct Parser {
   std::string_view text;
   std::size_t pos = 0;
-  std::string error;
+  std::string error{};
 
   bool fail(const std::string& message) {
     if (error.empty()) {

@@ -113,7 +113,7 @@ inline std::string_view strip_suffix(std::string_view name,
 struct Parser {
   std::string_view text;
   std::map<std::string, PromFamily>* families;
-  std::string error;
+  std::string error{};
   int line_no = 0;
 
   bool fail(const std::string& message) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/loop_detector.h"
+#include "core/record.h"
 #include "net/packet.h"
 #include "scenarios/backbone.h"
 #include "sim/network.h"
@@ -33,7 +34,7 @@ TEST(EdgeCases, FragmentReplicasAreDetected) {
   EXPECT_EQ(result.valid_streams[0].size(), 6u);
   EXPECT_EQ(result.valid_streams[0].dominant_ttl_delta(), 2);
   // The record parsed without a transport header.
-  EXPECT_EQ(result.records[0].pkt.udp(), nullptr);
+  EXPECT_EQ(core::parse_record(trace, 0).pkt.udp(), nullptr);
 }
 
 // Different fragments of the same datagram share the IP ID but differ in

@@ -7,11 +7,13 @@
 // engine as the oracle; these tests diff the two on synthetic, fuzzed and
 // adversarial traces (forced hash collisions, timeout and generation
 // boundaries, IP-ID reuse), serially and through the sharded pipeline, and
-// pin the allocation win and the bounded detect memory the two-tier open set
-// exists for.
+// pin the allocation win, the bounded detect memory the two-tier open set
+// exists for, and the absence of any per-record ParsedRecord array on the
+// detect_loops paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <functional>
@@ -29,6 +31,8 @@
 #include "core/replica_detector.h"
 #include "core/replica_key.h"
 #include "net/packet.h"
+#include "net/pcap.h"
+#include "net/pcap_mmap.h"
 #include "net/trace.h"
 #include "reference_detector.h"
 #include "result_equality.h"
@@ -36,19 +40,29 @@
 #include "util/random.h"
 
 namespace {
-// Global allocation counter for the arena/flat-map win assertion. Relaxed
-// atomics: the counted sections below run single-threaded.
+// Global allocation counter for the arena/flat-map win assertion, and the
+// largest single request seen (reset by the tests that read it). Relaxed
+// atomics: counts are read only after the counted section has joined.
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<std::size_t> g_largest_request{0};
+
+void count_request(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  std::size_t seen = g_largest_request.load(std::memory_order_relaxed);
+  while (size > seen && !g_largest_request.compare_exchange_weak(
+                            seen, size, std::memory_order_relaxed)) {
+  }
+}
 }  // namespace
 
 void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  count_request(size);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new(std::size_t size, std::align_val_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  count_request(size);
   // aligned_alloc requires size to be a multiple of the alignment.
   const auto a = static_cast<std::size_t>(align);
   if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
@@ -60,26 +74,34 @@ void* operator new(std::size_t size, std::align_val_t align) {
 // plain operator delete — leaving these to the runtime while overriding the
 // plain forms above is an alloc/dealloc mismatch under ASan.
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  count_request(size);
   return std::malloc(size);
 }
 
 void* operator new(std::size_t size, std::align_val_t align,
                    const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  count_request(size);
   const auto a = static_cast<std::size_t>(align);
   return std::aligned_alloc(a, (size + a - 1) / a * a);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+namespace {
+// Every replaced operator new above allocates with malloc, so free is the
+// matching release. Kept out of line: once inlined into a caller, the
+// compiler sees free() applied to a pointer it knows came from operator new
+// and warns (-Wmismatched-new-delete) about a mismatch that is not there.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void operator delete(void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
 void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace rloop::core {
@@ -177,7 +199,7 @@ TEST(MemoryLayout, FlatDetectorMatchesReferenceOnSyntheticTrace) {
 
   const auto reference = reference_detect(trace, records);
   const auto flat =
-      ReplicaDetector().detect(RecordStore::build(trace, records));
+      ReplicaDetector().detect(RecordStore::build(trace));
   ASSERT_GT(reference.size(), 4u) << "fixture must exercise the detector";
   expect_equal_stream_vectors(reference, flat, "streams");
 }
@@ -191,7 +213,7 @@ TEST(MemoryLayout, FlatDetectorMatchesReferenceOnFuzzedTraces) {
 
     expect_equal_stream_vectors(
         reference_detect(trace, records),
-        ReplicaDetector().detect(RecordStore::build(trace, records)),
+        ReplicaDetector().detect(RecordStore::build(trace)),
         "streams");
   }
 }
@@ -226,7 +248,7 @@ void expect_detectors_match_reference(const net::Trace& trace,
   const auto reference = reference_detect(trace, records, detector);
   expect_equal_stream_vectors(
       reference,
-      ReplicaDetector(detector).detect(RecordStore::build(trace, records)),
+      ReplicaDetector(detector).detect(RecordStore::build(trace)),
       "serial");
   for (const unsigned bits : {1u, 2u, 3u}) {
     SCOPED_TRACE("shard_bits=" + std::to_string(bits));
@@ -245,12 +267,12 @@ void expect_detectors_match_reference(const net::Trace& trace,
 // onto a handful of values: then every lookup is a hash hit, and only the
 // byte-exact compare keeps distinct packets apart.
 RecordStore store_with_forced_hashes(
-    const net::Trace& trace, const std::vector<ParsedRecord>& records,
+    const net::Trace& trace,
     const std::function<std::uint64_t(std::uint64_t)>& forced) {
   RecordStore store;
-  store.prepare(trace, records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    store.set_row(i, records[i], forced(replica_key_hash(trace[i].bytes())));
+  store.prepare(trace, trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    store.set_row(i, trace[i], forced(replica_key_hash(trace[i].bytes())));
   }
   return store;
 }
@@ -279,7 +301,7 @@ TEST(MemoryLayout, ForcedHashCollisionsNeverMergeDistinctPackets) {
       expect_equal_stream_vectors(
           expected,
           ReplicaDetector().detect(
-              store_with_forced_hashes(trace, records, forced)),
+              store_with_forced_hashes(trace, forced)),
           "serial");
     }
     expect_detectors_match_reference(trace, {});
@@ -314,7 +336,7 @@ TEST(MemoryLayout, TableGrowthKeepsNewestFirstScanOrder) {
   expect_equal_stream_vectors(
       expected,
       ReplicaDetector().detect(store_with_forced_hashes(
-          trace, records, [&](std::uint64_t) { return last_slot; })),
+          trace, [&](std::uint64_t) { return last_slot; })),
       "serial");
 }
 
@@ -429,7 +451,7 @@ TEST(MemoryLayout, FirstSightingMemoryDoesNotGrowWithTraceLength) {
       trace.add(static_cast<net::TimeNs>(i) * spacing, pkt,
                 pkt.ip.total_length);
     }
-    const auto store = RecordStore::build(trace, parse_trace(trace));
+    const auto store = RecordStore::build(trace);
     detail::FlatDetectState state(detector, nullptr, nullptr);
     for (std::size_t i = 0; i < n; ++i) state.process(store, i);
     EXPECT_EQ(state.counts.opened, n);
@@ -447,29 +469,82 @@ TEST(MemoryLayout, FirstSightingMemoryDoesNotGrowWithTraceLength) {
   EXPECT_LT(large, 4 * kN * sizeof(detail::SightingTable::Slot));
 }
 
+// IP-header shapes at and around every rejection in Ipv4Header::parse, plus
+// headers that parse while their transport header does not: RecordStore's
+// fused row writer must mark !ok exactly the records parse_packet rejects.
+// Returns how many of the added records fail to parse.
+std::size_t add_malformed_corpus(TraceBuilder& builder, net::TimeNs t) {
+  const auto tcp = net::make_tcp_packet(
+      net::Ipv4Addr(198, 51, 100, 7), net::Ipv4Addr(10, 6, 6, 6), 1000, 80,
+      1, 2, net::kTcpSyn, 0, 64, 7);
+  std::vector<std::byte> good(net::kMaxHeaderBytes);
+  net::serialize_packet(tcp, good);
+  std::size_t failures = 0;
+  const auto add = [&](bool fails, auto&& mutate) {
+    auto bytes = good;
+    mutate(bytes);
+    builder.raw(t++, std::move(bytes));
+    if (fails) ++failures;
+  };
+  using Bytes = std::vector<std::byte>;
+  add(true, [](Bytes& b) { b[0] = std::byte{0x65}; });  // version 6
+  add(true, [](Bytes& b) { b[0] = std::byte{0x44}; });  // IHL 4 < 5
+  add(true, [](Bytes& b) { b[0] = std::byte{0x40}; });  // IHL 0
+  add(true, [](Bytes& b) {  // IHL 6 with a 20-byte capture
+    b[0] = std::byte{0x46};
+    b.resize(20);
+  });
+  add(false, [](Bytes& b) { b[0] = std::byte{0x46}; });  // IHL 6, captured
+  add(true, [](Bytes& b) {  // total_length 19 < header
+    b[2] = std::byte{0};
+    b[3] = std::byte{19};
+  });
+  add(false, [](Bytes& b) {  // total_length == header
+    b[2] = std::byte{0};
+    b[3] = std::byte{20};
+  });
+  add(true, [](Bytes& b) { b.resize(19); });  // cap_len < 20
+  add(true, [](Bytes& b) { b.clear(); });     // nothing captured
+  add(false, [](Bytes& b) {  // non-first fragment: no transport header
+    b[6] = std::byte{0x20};
+    b[7] = std::byte{0xb9};
+  });
+  add(false, [](Bytes& b) { b.resize(30); });  // truncated TCP header
+  return failures;
+}
+
 TEST(MemoryLayout, RecordStoreColumnsMatchParsedRecords) {
   TraceBuilder builder;
-  const net::Trace& trace = synthetic_trace(builder);
+  synthetic_trace(builder);
+  const std::size_t corpus_failures =
+      add_malformed_corpus(builder, 7 * net::kMillisecond);
+  const net::Trace& trace = builder.trace();
   const auto records = parse_trace(trace);
-  const auto store = RecordStore::build(trace, records);
+  const auto store = RecordStore::build(trace);
 
   ASSERT_EQ(store.size(), records.size());
+  std::uint64_t failures = 0;
   for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(store.ok(i), records[i].ok) << i;
     EXPECT_EQ(store.ts(i), records[i].ts) << i;
-    if (!records[i].ok) {
-      EXPECT_EQ(store.key_hash(i), 0u) << i;
-      continue;
-    }
     EXPECT_EQ(store.ttl(i), records[i].pkt.ip.ttl) << i;
     EXPECT_EQ(store.dst(i), records[i].pkt.ip.dst) << i;
-    EXPECT_TRUE(store.dst24(i) == records[i].dst24) << i;
     EXPECT_EQ(store.dst24_key(i),
               (std::uint64_t{records[i].dst24.addr.value} << 8) | 24u)
         << i;
-    EXPECT_EQ(store.key_hash(i), replica_key_hash(trace[i].bytes())) << i;
     EXPECT_EQ(store.bytes(i).size(), trace[i].bytes().size()) << i;
+    EXPECT_EQ(store.key_hash(i) == 0, !records[i].ok) << i;
+    if (!records[i].ok) {
+      ++failures;
+      continue;
+    }
+    EXPECT_TRUE(store.dst24(i) == records[i].dst24) << i;
+    EXPECT_EQ(store.key_hash(i), replica_key_hash(trace[i].bytes())) << i;
   }
+  // The synthetic trace's two short raw records plus the corpus rejections.
+  EXPECT_EQ(failures, 2 + corpus_failures);
+  EXPECT_EQ(store.parse_failures(), failures);
+  EXPECT_EQ(detect_loops(trace).parse_failures, failures);
 }
 
 // Oracle for the flat NonLoopedIndex: the hash-map-of-vectors layout it
@@ -513,7 +588,7 @@ TEST(MemoryLayout, FlatIndexMatchesHashMapOracle) {
     member[i] = rng.bernoulli(0.3);
   }
 
-  const NonLoopedIndex index(RecordStore::build(trace, records), member);
+  const NonLoopedIndex index(RecordStore::build(trace), member);
   const MapIndexOracle oracle(records, member);
   EXPECT_EQ(index.prefix_count(), oracle.prefix_count());
 
@@ -540,7 +615,7 @@ TEST(MemoryLayout, FlatEngineAllocatesFarLessThanReference) {
   TraceBuilder builder;
   const net::Trace& trace = fuzz_trace(builder, 201);
   const auto records = parse_trace(trace);
-  const auto store = RecordStore::build(trace, records);
+  const auto store = RecordStore::build(trace);
   const ReplicaDetector detector;
 
   // Warm both paths once so one-time setup does not skew the counts.
@@ -600,6 +675,94 @@ TEST(MemoryLayout, WarmPipelineAllocatesNoMoreThanSerial) {
   EXPECT_LE(parallel_allocs, serial_allocs)
       << "warm parallel=" << parallel_allocs << " serial=" << serial_allocs;
   EXPECT_GT(serial_allocs, 10u) << "fixture too small to measure allocation";
+}
+
+// Largest single operator-new request made while `fn` runs.
+template <typename Fn>
+std::size_t largest_request(Fn&& fn) {
+  g_largest_request.store(0, std::memory_order_relaxed);
+  fn();
+  return g_largest_request.load(std::memory_order_relaxed);
+}
+
+// detect_loops keeps one narrow column per scanned field and nothing
+// record-wide: no allocation it makes, serially or warm through the
+// pipeline, may be as large as one ParsedRecord per record.
+TEST(MemoryLayout, DetectLoopsAllocatesNoParsedRecordArray) {
+  constexpr std::size_t kN = 20'000;
+  net::Trace trace("columns", 0);
+  for (std::size_t i = 0; i < kN; ++i) {
+    const auto pkt = net::make_udp_packet(
+        net::Ipv4Addr(198, 51, 100, 1),
+        net::Ipv4Addr(10, static_cast<std::uint8_t>(i >> 12),
+                      static_cast<std::uint8_t>(i >> 4), 1),
+        1000, 2000, 64, static_cast<std::uint8_t>(64 - 2 * (i % 3)),
+        static_cast<std::uint16_t>(i / 3));
+    trace.add(static_cast<net::TimeNs>(i) * net::kMillisecond, pkt,
+              pkt.ip.total_length);
+  }
+  const std::size_t record_array = sizeof(ParsedRecord) * kN;
+
+  LoopDetectorConfig serial_config;
+  std::size_t loops = 0;
+  const std::size_t serial = largest_request(
+      [&] { loops = detect_loops(trace, serial_config).loops.size(); });
+  ASSERT_GT(loops, 0u) << "fixture must reach validate and merge";
+  EXPECT_LT(serial, record_array) << "serial, largest " << serial << " B";
+
+  PipelineWorkspace workspace;
+  LoopDetectorConfig parallel_config;
+  parallel_config.parallel.num_threads = 4;
+  parallel_config.workspace = &workspace;
+  (void)detect_loops(trace, parallel_config);
+  const std::size_t warm = largest_request(
+      [&] { (void)detect_loops(trace, parallel_config); });
+  EXPECT_LT(warm, record_array) << "warm pipelined, largest " << warm << " B";
+}
+
+// A pcap buffer of `n` raw-IP records (28-byte UDP headers).
+std::vector<std::byte> pcap_buffer(std::size_t n) {
+  std::vector<std::byte> out;
+  const auto put32 = [&](std::uint32_t v) {
+    for (int b = 0; b < 4; ++b) {
+      out.push_back(static_cast<std::byte>((v >> (8 * b)) & 0xff));
+    }
+  };
+  put32(net::kPcapMagicNanos);
+  put32(0x00040002);  // version 2.4
+  put32(0);           // thiszone
+  put32(0);           // sigfigs
+  put32(65535);       // snaplen
+  put32(net::kLinktypeRaw);
+  std::array<std::byte, net::kMaxHeaderBytes> bytes{};
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto pkt = net::make_udp_packet(
+        net::Ipv4Addr(198, 51, 100, 1), net::Ipv4Addr(10, 0, 0, 1), 1000,
+        2000, 64, 64, static_cast<std::uint16_t>(i));
+    const std::size_t len = net::serialize_packet(pkt, bytes);
+    put32(1'000'000'000);
+    put32(static_cast<std::uint32_t>(i));
+    put32(static_cast<std::uint32_t>(len));
+    put32(pkt.ip.total_length);
+    out.insert(out.end(), bytes.begin(), bytes.begin() + len);
+  }
+  return out;
+}
+
+// parse_pcap_buffer sizes the trace once from the record headers: the
+// allocation count does not grow with the record count.
+TEST(MemoryLayout, PcapBufferSizesTraceOnce) {
+  const auto allocs_for = [](std::size_t n) {
+    const auto buffer = pcap_buffer(n);
+    const auto before = g_alloc_count.load(std::memory_order_relaxed);
+    const net::Trace trace = net::parse_pcap_buffer(buffer, "buffer");
+    const auto allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(trace.size(), n);
+    return allocs;
+  };
+  const auto small = allocs_for(100);
+  const auto large = allocs_for(10'000);
+  EXPECT_EQ(large, small);
 }
 
 }  // namespace

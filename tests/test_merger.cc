@@ -17,8 +17,7 @@ const Ipv4Addr kOtherDst(198, 18, 5, 20);
 
 std::vector<RoutingLoop> run_pipeline(TraceBuilder& builder,
                                       MergerConfig cfg = {}) {
-  const auto store =
-      RecordStore::build(builder.trace(), parse_trace(builder.trace()));
+  const auto store = RecordStore::build(builder.trace());
   const auto raw = ReplicaDetector(ReplicaDetectorConfig{}).detect(store);
   const auto valid = StreamValidator(ValidatorConfig{}).validate(store, raw);
   return StreamMerger(cfg).merge(store, valid);

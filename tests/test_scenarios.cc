@@ -40,7 +40,9 @@ TEST(BackboneTopology, WellFormed) {
     // Every node reaches every other (connected topology).
     const auto spf = routing::compute_spf(topo, nodes.i0);
     for (const auto& node : topo.nodes()) {
-      if (node.id != nodes.i0) EXPECT_TRUE(spf.reachable(node.id));
+      if (node.id != nodes.i0) {
+        EXPECT_TRUE(spf.reachable(node.id));
+      }
     }
     // Transit chain only in scenario 4.
     EXPECT_EQ(nodes.m >= 0, spec.transit_chain);

@@ -667,7 +667,9 @@ TEST(StreamingOracle, CannedScenariosMatchTheReference) {
     }
     diff.check_state("end");
     diff.check_output();
-    if (run->spec.truth.expect_loops) EXPECT_FALSE(diff.alerts().empty());
+    if (run->spec.truth.expect_loops) {
+      EXPECT_FALSE(diff.alerts().empty());
+    }
   }
 }
 

@@ -175,7 +175,9 @@ TEST(PipelineSpans, ParallelRunEmitsPerShardTaskSpans) {
   EXPECT_GE(count_named(spans, "hash_chunk"), 1u);
   // Worker-side spans are top level on their own threads (depth 0).
   for (const auto& ev : spans) {
-    if (std::string(ev.name) == "detect_shard") EXPECT_EQ(ev.depth, 0u);
+    if (std::string(ev.name) == "detect_shard") {
+      EXPECT_EQ(ev.depth, 0u);
+    }
   }
   std::string error;
   EXPECT_TRUE(is_valid_json(sink.chrome_trace_json(), &error)) << error;

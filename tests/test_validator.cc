@@ -20,8 +20,7 @@ struct ValidationRun {
 };
 
 ValidationRun validate(TraceBuilder& builder, ValidatorConfig cfg = {}) {
-  const auto store =
-      RecordStore::build(builder.trace(), parse_trace(builder.trace()));
+  const auto store = RecordStore::build(builder.trace());
   const auto raw = ReplicaDetector(ReplicaDetectorConfig{}).detect(store);
   ValidationRun run;
   run.valid = StreamValidator(cfg).validate(store, raw, &run.stats);
